@@ -22,7 +22,6 @@ from .forms import (
     form_of_endo,
     hodge,
     inner,
-    norm_sq,
 )
 from .liegeom import (
     CurvatureRecord,
@@ -37,7 +36,6 @@ from .liegeom import (
     zero_curvature,
 )
 from .nil import (
-    StructureEquations,
     betti_vector,
     nil_family,
     nil_family_case,
@@ -46,8 +44,8 @@ from .nil import (
     verify_parallel,
 )
 from .orbits import d_parallel
-from .scalars import is_zero, simplify
-from .unitary import project_l3, torsion_type
+from .scalars import is_zero, rat, simplify
+from .unitary import project_l3
 
 F = Fraction
 
@@ -57,12 +55,16 @@ def _require(cond, text):
         raise ValueError(f"requires {text}")
 
 
-def _rat(x, name):
-    if isinstance(x, (int, float, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"requires numeric parameter {name}")
+def _rationals(params):
+    """The parameters coerced by scalars.rat; a value that is not a number
+    raises a ValueError naming its parameter."""
+    out = {}
+    for name, x in params.items():
+        try:
+            out[name] = rat(x)
+        except (TypeError, ValueError):
+            raise ValueError(f"requires numeric parameter {name}") from None
+    return out
 
 
 # --- frame-to-structure-constant solver -------------------------------------
@@ -137,8 +139,7 @@ def t1_curvature(lam) -> CurvatureRecord:
 def _reductive_report(name, params, model, expected, extra=None):
     t, rec, nat = canonical_data(model)
     comp = project_l3(t)
-    norms = tuple(simplify(x) for x in
-                  (norm_sq(comp.t2), norm_sq(comp.t12), norm_sq(comp.t6)))
+    norms = tuple(simplify(x) for x in comp.norms_sq)
     gap = curvature_gap(t)
     ric = ricci(rec + (-1) * gap)
     einstein = is_einstein(ric)
@@ -151,7 +152,7 @@ def _reductive_report(name, params, model, expected, extra=None):
         "curvature": rec,
         "naturally_reductive": nat,
         "norms_sq": norms,
-        "strict_type": torsion_type(t)[1],
+        "strict_type": comp.torsion_type()[1],
         "ricci": ric,
         "einstein": einstein,
         "expected": expected,
@@ -193,7 +194,6 @@ def _diff(report):
 # --- entries ----------------------------------------------------------------
 
 def build_s3xs3_t2(s, t):
-    s, t = _rat(s, "s"), _rat(t, "t")
     _require(s > 0, "s > 0")
     _require(t > 0, "t > 0")
     L = LieAlgebraData(6, {(1, 2, 5): s, (1, 5, 2): -s, (2, 5, 1): s,
@@ -216,7 +216,6 @@ def build_s3xs3_t2(s, t):
 
 
 def build_s3xt3_t2(s):
-    s = _rat(s, "s")
     _require(s > 0, "s > 0")
     L = LieAlgebraData(6, {(1, 2, 5): s, (1, 5, 2): -s, (2, 5, 1): s})
     model = ReductiveModel(L, [], [1, 2, 3, 4, 5, 6])
@@ -232,7 +231,6 @@ def build_s3xt3_t2(s):
 
 
 def build_s3xs3_t2bundle(a3, a4, a5):
-    a3, a4, a5 = (_rat(a3, "alpha3"), _rat(a4, "alpha4"), _rat(a5, "alpha5"))
     _require(a3 + a5 > 0, "alpha3 + alpha5 > 0")
     _require(a3 - a5 < 0, "alpha3 - alpha5 < 0")
     _require(a5 > 0, "alpha5 > 0")
@@ -295,8 +293,6 @@ def _so3_checks(rep, model):
 
 
 def build_s3xs3_so3(b, d, k1, k2):
-    b, d = _rat(b, "b"), _rat(d, "d")
-    k1, k2 = _rat(k1, "k1"), _rat(k2, "k2")
     _require(b != d, "b != d")
     _require(k1 > 0, "k1 > 0")
     _require(k2 > 0, "k2 > 0")
@@ -337,7 +333,6 @@ def build_s3xs3_so3(b, d, k1, k2):
 
 
 def build_sl2c_so3(p):
-    p = _rat(p, "p")
     _require(p > 0, "p > 0")
     pp = sp.nsimplify(p)
     u = [_vstack(_E3[i], _E3[i] / (pp + 1), _Z3) for i in range(3)]
@@ -415,34 +410,21 @@ def build_n6_so3():
 
 
 # two-step nilpotent frame with d e5, d e6 supported on e12, e34; the base
-# frame is scaled so the canonical torsion is the normal form below
-_NIL_CASES = {"nil-i": "i", "nil-ii": "ii", "nil-iii": "iii",
-              "nil-iv": "iv", "nil-v": "v", "nil-vi": "vi"}
-
-_NIL_BETTI = {
-    "i": (1, 5, 11, 14, 11, 5, 1),
-    "ii": (1, 5, 9, 10, 9, 5, 1),
-    "iii": (1, 4, 8, 10, 8, 4, 1),
-    "iv": (1, 4, 8, 10, 8, 4, 1),
-    "v": (1, 5, 9, 10, 9, 5, 1),
-    "vi": (1, 5, 9, 10, 9, 5, 1),
+# frame is scaled so the canonical torsion is the normal form below.
+# Per case: strict type, Betti numbers and commutator tag.  The rows (ii)
+# and (iv) of the printed table are interchanged relative to what the
+# structure equations give; the values below are the recomputed ones.
+NIL_TABLE = {
+    "i": ("W3+W4", (1, 5, 11, 14, 11, 5, 1), "(0,0,0,0,0,12)"),
+    "ii": ("W3+W4", (1, 5, 9, 10, 9, 5, 1), "(0,0,0,0,0,12+34)"),
+    "iii": ("W3+W4", (1, 4, 8, 10, 8, 4, 1), "(0,0,0,0,12,34)"),
+    "iv": ("W3+W4", (1, 4, 8, 10, 8, 4, 1), "(0,0,0,0,12,34)"),
+    "v": ("W4", (1, 5, 9, 10, 9, 5, 1), "(0,0,0,0,0,12+34)"),
+    "vi": ("W3", (1, 5, 9, 10, 9, 5, 1), "(0,0,0,0,0,12+34)"),
 }
-
-_NIL_TAG = {
-    "i": "(0,0,0,0,0,12)",
-    "ii": "(0,0,0,0,0,12+34)",
-    "iii": "(0,0,0,0,12,34)",
-    "iv": "(0,0,0,0,12,34)",
-    "v": "(0,0,0,0,0,12+34)",
-    "vi": "(0,0,0,0,0,12+34)",
-}
-
-_NIL_TYPE = {"i": "W3+W4", "ii": "W3+W4", "iii": "W3+W4", "iv": "W3+W4",
-             "v": "W4", "vi": "W3"}
 
 
 def build_nil(case, a3, a4, a5):
-    a3, a4, a5 = (_rat(a3, "alpha3"), _rat(a4, "alpha4"), _rat(a5, "alpha5"))
     got = nil_family_case(a3, a4, a5)
     if got != case:
         conditions = {
@@ -457,26 +439,26 @@ def build_nil(case, a3, a4, a5):
     s = nil_family(a3, a4, a5)
     parallel, dt_ok, details = verify_parallel(s)
     t = details["torsion"]
+    comp = project_l3(t)
+    strict, betti, tag = NIL_TABLE[case]
     report = {
         "name": f"nil-{case}",
         "params": {"alpha3": a3, "alpha4": a4, "alpha5": a5},
         "kind": "nilpotent",
         "equations": s,
         "torsion": t,
-        "norms_sq": tuple(simplify(norm_sq(x)) for x in
-                          (project_l3(t).t2, project_l3(t).t12,
-                           project_l3(t).t6)),
-        "strict_type": torsion_type(t)[1],
+        "norms_sq": tuple(simplify(x) for x in comp.norms_sq),
+        "strict_type": comp.torsion_type()[1],
         "parallel": parallel and dt_ok,
         "betti": betti_vector(s),
         "commutator_tag": structure_tag(s),
         "dT": details["dT"],
         "expected": {
             "torsion": nil_torsion(a3, a4, a5),
-            "strict_type": _NIL_TYPE[case],
+            "strict_type": strict,
             "parallel": True,
-            "betti": _NIL_BETTI[case],
-            "commutator_tag": _NIL_TAG[case],
+            "betti": betti,
+            "commutator_tag": tag,
             "dT": -2 * (a3 * a3 + a4 * a4 - a5 * a5)
             * Form.monomial((1, 2, 3, 4)),
         },
@@ -524,7 +506,7 @@ def build_s5xs1():
 
 def local_model_group(a3, a4, a5):
     """Name of the Lie group carrying the torus-holonomy normal form."""
-    a3, a4, a5 = (_rat(a3, "alpha3"), _rat(a4, "alpha4"), _rat(a5, "alpha5"))
+    a3, a4, a5 = _rationals({"alpha3": a3, "alpha4": a4, "alpha5": a5}).values()
     if a5 == 0:
         return "t3 x n11"
     if a3 == a5 or a3 == -a5:
@@ -603,8 +585,8 @@ ENTRIES = {
         "description": "5-sphere times a line, Sasaki scaling",
     },
 }
-for _name, _case in _NIL_CASES.items():
-    ENTRIES[_name] = {
+for _case in NIL_TABLE:
+    ENTRIES[f"nil-{_case}"] = {
         "builder": (lambda case: lambda a3, a4, a5:
                     build_nil(case, a3, a4, a5))(_case),
         "schema": {"a3": "family condition on alpha3",
@@ -617,7 +599,7 @@ for _name, _case in _NIL_CASES.items():
 def build(name, **params):
     if name not in ENTRIES:
         raise ValueError(f"unknown catalog entry {name!r}")
-    return ENTRIES[name]["builder"](**params)
+    return ENTRIES[name]["builder"](**_rationals(params))
 
 
 def sweep(name, grid):

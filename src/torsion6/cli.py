@@ -17,6 +17,7 @@ from .clifford import is_scalar_square, parallel_spinors, torsion_spinor_spectru
 from .forms import Form, endo_of_form, form_of_endo, format_form, parse_form
 from .nil import StructureEquations, betti_vector, nil_torsion, structure_tag
 from .orbits import (
+    CASE_TABLE,
     TorsionFamily,
     classify_form,
     invariant_poly_dims,
@@ -24,7 +25,7 @@ from .orbits import (
     make_torsion,
     sigma,
 )
-from .scalars import is_exact, to_float
+from .scalars import to_float
 from .unitary import (
     delta_class,
     identify_algebra,
@@ -39,13 +40,7 @@ BACKEND_ENV = "TORSION6_BACKEND"
 def _num(x):
     if isinstance(x, float):
         return float(f"{x:.12g}")
-    if is_exact(x):
-        return str(x)
     return str(x)
-
-
-def _form_payload(w: Form):
-    return format_form(w)
 
 
 def _parse_scalar(text, backend):
@@ -97,7 +92,7 @@ def _cmd_family(args):
     return 0, {
         "case": args.case,
         "params": {k: _num(v) for k, v in params.items()},
-        "torsion": _form_payload(t),
+        "torsion": format_form(t),
         "strictType": rep.strict_type,
         "isoLabel": rep.iso_label,
         "isoDim": rep.iso_dim,
@@ -106,7 +101,7 @@ def _cmd_family(args):
 
 def _cmd_sigma(args):
     t = _parse_form_arg(args.form, args.backend)
-    return 0, {"sigma": _form_payload(sigma(t))}
+    return 0, {"sigma": format_form(sigma(t))}
 
 
 def _cmd_clifford(args):
@@ -140,7 +135,7 @@ def _cmd_isotropy(args):
     return 0, {
         "dim": label.dim,
         "label": label.tag,
-        "basis": [_form_payload(form_of_endo(a)) for a in basis],
+        "basis": [format_form(form_of_endo(a)) for a in basis],
     }
 
 
@@ -149,7 +144,7 @@ def _sanitize_report(rep):
         "name": rep["name"],
         "params": {k: _num(v) for k, v in rep["params"].items()},
         "kind": rep["kind"],
-        "torsion": _form_payload(rep["torsion"]),
+        "torsion": format_form(rep["torsion"]),
         "norms": {"t2": _num(rep["norms_sq"][0]),
                   "t12": _num(rep["norms_sq"][1]),
                   "t6": _num(rep["norms_sq"][2])},
@@ -187,14 +182,17 @@ def _cmd_sweep(args):
         grid = json.loads(args.grid)
     except json.JSONDecodeError as exc:
         raise ValueError(f"grid is not valid JSON: {exc}")
-    if not isinstance(grid, list):
+    if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
         raise ValueError("grid must be a JSON list of parameter objects")
-    points = []
-    for point in grid:
-        points.append({k: _parse_scalar(str(v), args.backend)
-                       for k, v in point.items()})
     rows = []
-    for row in catalog.sweep(args.name, points):
+    for point in grid:
+        try:
+            params = {k: _parse_scalar(str(v), args.backend)
+                      for k, v in point.items()}
+        except ValueError as exc:
+            row = {"params": point, "error": str(exc)}
+        else:
+            [row] = catalog.sweep(args.name, [params])
         if "error" in row:
             rows.append({"params": {k: _num(v) for k, v in row["params"].items()},
                          "error": row["error"]})
@@ -239,31 +237,6 @@ _CASE_SAMPLES = {
     "XI": dict(a1="1", a2="1", b1="2", b2="1"),
 }
 
-_CASE_EXPECT = {
-    "I": ("W4", "u2_0", 4),
-    "II": ("W1+W3", "su2", 3),
-    "III": ("W1+W3", "t1", 1),
-    "IV": ("W3+W4", "t2", 2),
-    "V": ("W1+W3+W4", "su2", 3),
-    "VI": ("W1+W3+W4", "t1", 1),
-    "VII": ("W1", "su3", 8),
-    "VIII": ("W3", "u2_1", 4),
-    "IX": ("W3", "t2", 2),
-    "X": ("W3", "so3", 3),
-    "XI": ("W1+W3", "so3", 3),
-}
-
-# rows of the strict-type / isotropy table: each strict type with the list
-# of connected isotropy algebra labels that occur
-_TYPE_TABLE = {
-    "W1": ["su3"],
-    "W3": ["u2_1", "so3", "t2"],
-    "W4": ["u2_0"],
-    "W1+W3": ["su2", "so3", "t1"],
-    "W3+W4": ["t2"],
-    "W1+W3+W4": ["su2", "t1"],
-}
-
 _DELTA_SAMPLES = {
     "D1": (1, 0, 0),
     "D2": (1, 1, 0),
@@ -295,18 +268,6 @@ _NIL_TABLE_SAMPLES = {
     "vi": ("1", "0", "0"),
 }
 
-# the rows (ii) and (iv) of the printed table are interchanged relative to
-# what the structure equations give; the expected values below are the
-# recomputed ones
-_NIL_TABLE_EXPECT = {
-    "i": ("W3+W4", 5, 11, "(0,0,0,0,0,12)"),
-    "ii": ("W3+W4", 5, 9, "(0,0,0,0,0,12+34)"),
-    "iii": ("W3+W4", 4, 8, "(0,0,0,0,12,34)"),
-    "iv": ("W3+W4", 4, 8, "(0,0,0,0,12,34)"),
-    "v": ("W4", 5, 9, "(0,0,0,0,0,12+34)"),
-    "vi": ("W3", 5, 9, "(0,0,0,0,0,12+34)"),
-}
-
 _LOCAL_MODEL_SAMPLES = [
     (Fraction(-3), Fraction(1), Fraction(1), "s3 x sl2r"),
     (Fraction(1, 2), Fraction(1), Fraction(1), "s3 x s3"),
@@ -324,16 +285,8 @@ def _su2_basis():
             (e(1, 2) - e(3, 4), e(1, 3) + e(2, 4), e(1, 4) - e(2, 3))]
 
 
-def _so3_basis():
-    def e(*idx):
-        return Form.monomial(idx)
-
-    return [endo_of_form(f) for f in
-            (e(1, 3) + e(2, 4), e(1, 5) + e(2, 6), e(3, 5) + e(4, 6))]
-
-
-def _spectrum_row(t, hol, tol):
-    count, _ = parallel_spinors(hol, 1e-9)
+def _spectrum_row(t, hol):
+    count, _ = parallel_spinors(hol)
     spec = [float(v) for v in torsion_spinor_spectrum(t, hol)] if count else []
     return count, spec
 
@@ -352,8 +305,11 @@ def _table1():
         fam = TorsionFamily(case, **{k: Fraction(v) for k, v in kwargs.items()})
         rep = classify_form(make_torsion(fam))
         seen.setdefault(rep.strict_type, set()).add(rep.iso_label)
-    for strict in sorted(_TYPE_TABLE):
-        want = sorted(_TYPE_TABLE[strict])
+    expected = {}  # strict type -> the isotropy labels of its cases
+    for strict, label, _ in CASE_TABLE.values():
+        expected.setdefault(strict, set()).add(label)
+    for strict in sorted(expected):
+        want = sorted(expected[strict])
         got = sorted(seen.get(strict, set()))
         rows.append({"strictType": strict, "isotropy": got, "expected": want})
         if got != want:
@@ -368,7 +324,7 @@ def _table2():
         fam = TorsionFamily(case, **{k: Fraction(v)
                                      for k, v in _CASE_SAMPLES[case].items()})
         rep = classify_form(make_torsion(fam))
-        want = _CASE_EXPECT[case]
+        want = CASE_TABLE[case]
         got = (rep.strict_type, rep.iso_label, rep.iso_dim)
         rows.append({"case": case, "got": list(got), "expected": list(want),
                      "roundTrip": rep.case == case})
@@ -399,7 +355,7 @@ def _table4(tol):
     iso = isotropy_algebra(t)
     rows = []
     for label, hol in (("su2", iso), ("t1", iso[:1])):
-        count, spec = _spectrum_row(t, hol, tol)
+        count, spec = _spectrum_row(t, hol)
         want = [-(2 ** 0.5) * norm] * 2 + [(2 ** 0.5) * norm] * 2
         ok = count == 4 and _spec_matches(spec, want, tol)
         rows.append({"holonomy": label, "parallelSpinors": count,
@@ -418,10 +374,11 @@ def _table5():
                      "group": got, "expected": want})
         if got != want:
             diffs.append(f"table5 local model {a3},{a4},{a5}: {got} != {want}")
-    for case in ("i", "ii", "iii", "iv", "v", "vi"):
-        a3, a4, a5 = (Fraction(x) for x in _NIL_TABLE_SAMPLES[case])
+    for case, sample in _NIL_TABLE_SAMPLES.items():
+        a3, a4, a5 = (Fraction(x) for x in sample)
         rep = catalog.build(f"nil-{case}", a3=a3, a4=a4, a5=a5)
-        want = _NIL_TABLE_EXPECT[case]
+        strict, betti, tag = catalog.NIL_TABLE[case]
+        want = (strict, betti[1], betti[2], tag)
         got = (rep["strict_type"], rep["betti"][1], rep["betti"][2],
                rep["commutator_tag"])
         rows.append({"family": case, "got": list(got), "expected": list(want)})
@@ -444,14 +401,14 @@ def _table6(tol):
             ("trivial", t_gen, [],
              [-s12, -s12, -2.0, -2.0, 2.0, 2.0, s12, s12]),
     ):
-        count, spec = _spectrum_row(t, hol, tol)
+        count, spec = _spectrum_row(t, hol)
         ok = _spec_matches(spec, want, tol)
         rows.append({"holonomy": label, "parallelSpinors": count,
                      "spectrum": [_num(v) for v in sorted(spec)]})
         if not ok or count != (4 if label == "t1" else 8):
             diffs.append(f"table6 {label}: {spec}")
     # the printed su2 row: reported, not part of the diff
-    count, spec = _spectrum_row(t_w4, _su2_basis(), tol)
+    count, spec = _spectrum_row(t_w4, _su2_basis())
     rows.append({"holonomy": "su2 (reported only)", "parallelSpinors": count,
                  "spectrum": [_num(v) for v in sorted(spec)]})
     return rows, diffs

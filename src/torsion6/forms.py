@@ -14,7 +14,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .scalars import DEFAULT_TOL, is_zero, rat, scalar_eq, to_float
+from .scalars import is_zero, rat, scalar_eq, to_float
 
 DIM = 6
 
@@ -38,6 +38,14 @@ def sort_indices(idx):
             sign = -sign
             j -= 1
     return tuple(idx), sign
+
+
+def evaluate(w: Form, *idx):
+    """The value of w on the frame vectors e_i, i in idx; 0 on a repeated index."""
+    key, sign = sort_indices(idx)
+    if key is None:
+        return Fraction(0)
+    return sign * w.coeff(key)
 
 
 class Form:
@@ -145,13 +153,6 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             out[idx] = out.get(idx, 0) + sign * ca * cb
     return Form(deg, out)
-
-
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
 
 
 def _as_vector(v):

@@ -19,9 +19,11 @@ from .forms import (
     SkewEndo,
     endo_act_on_form,
     endo_of_form,
+    evaluate,
     monomials,
+    sort_indices,
 )
-from .scalars import is_zero, to_float
+from .scalars import DEFAULT_TOL, is_zero, to_float
 
 MON2 = monomials(2)
 
@@ -141,8 +143,9 @@ class CurvatureRecord:
     def __post_init__(self):
         n = len(MON2)
         for a in range(n):
-            for b in range(n):
-                if not is_zero(self.mat[a][b] - self.mat[b][a]):
+            for b in range(a + 1, n):
+                x, y = self.mat[a][b], self.mat[b][a]
+                if x != y and not is_zero(x - y):
                     raise ValueError("curvature record is not pair symmetric")
 
     def value(self, i, j, k, l):
@@ -380,25 +383,11 @@ def characteristic_connection(L: LieAlgebraData, t: Form, g=None):
         for j in range(n):
             corr = [Fraction(0)] * n
             for k in range(n):
-                v = _form_eval3(t, i + 1, j + 1, k + 1)
+                v = evaluate(t, i + 1, j + 1, k + 1)
                 corr[k] = Fraction(1, 2) * v
             corr = linalg.mat_vec(ginv, corr)
             out[i][j] = [gamma[i][j][k] + corr[k] for k in range(n)]
     return out
-
-
-def _form_eval3(t, i, j, k):
-    if len({i, j, k}) < 3:
-        return Fraction(0)
-    idx = tuple(sorted((i, j, k)))
-    perm = [i, j, k]
-    sign = 1
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                perm[a], perm[b] = perm[b], perm[a]
-                sign = -sign
-    return sign * t.coeff(idx)
 
 
 def connection_torsion(L: LieAlgebraData, conn) -> Form:
@@ -416,25 +405,14 @@ def connection_torsion(L: LieAlgebraData, conn) -> Form:
                     if not is_zero(vec[k - 1]):
                         raise ValueError("connection torsion is not totally skew")
                     continue
-                idx = tuple(sorted((i, j, k)))
-                val = _perm_sign((i, j, k)) * vec[k - 1]
+                idx, sign = sort_indices((i, j, k))
+                val = sign * vec[k - 1]
                 if idx in coeffs:
                     if not is_zero(coeffs[idx] - val):
                         raise ValueError("connection torsion is not totally skew")
                 elif not is_zero(val):
                     coeffs[idx] = val
     return Form(3, coeffs)
-
-
-def _perm_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                seq[a], seq[b] = seq[b], seq[a]
-                sign = -sign
-    return sign
 
 
 def is_metric(L, conn, g=None):
@@ -532,39 +510,20 @@ def curvature_gap(t: Form) -> CurvatureRecord:
         for b, (k, l) in enumerate(MON2):
             s = Fraction(0)
             for m in range(1, DIM + 1):
-                s = s + _form_eval3(t, i, j, m) * _form_eval3(t, k, l, m)
-            s = quarter * s + quarter * _form_eval4(sig, i, j, k, l)
+                s = s + evaluate(t, i, j, m) * evaluate(t, k, l, m)
+            s = quarter * s + quarter * evaluate(sig, i, j, k, l)
             mat[a][b] = s
     return CurvatureRecord(mat, [])
 
 
-def _form_eval4(w, i, j, k, l):
-    if len({i, j, k, l}) < 4:
-        return Fraction(0)
-    return _perm_sign((i, j, k, l)) * w.coeff(tuple(sorted((i, j, k, l))))
-
-
 def covariant_derivative_form(L, conn, t: Form, direction):
     """(nabla_X t)(Y1..Yk) = -sum_i t(Y1,..,nabla_X Yi,..,Yk) for a
-    left-invariant form; direction is a frame index (1-based)."""
-    n = L.dim
-    out = {}
-    for idx in monomials(t.degree):
-        s = Fraction(0)
-        for pos in range(t.degree):
-            vec = conn[direction - 1][idx[pos] - 1]
-            for k in range(1, n + 1):
-                if is_zero(vec[k - 1]):
-                    continue
-                args = list(idx)
-                args[pos] = k
-                if len(set(args)) < len(args):
-                    continue
-                sign = _perm_sign(args)
-                s = s - vec[k - 1] * sign * t.coeff(tuple(sorted(args)))
-        if not is_zero(s):
-            out[idx] = s
-    return Form(t.degree, out)
+    left-invariant form; direction is a frame index (1-based).  This is the
+    derivation action of the matrix whose columns are nabla_X e_j."""
+    if L.dim != DIM:
+        raise ValueError("covariant derivative requires a 6-dimensional frame")
+    return endo_act_on_form(
+        SkewEndo(linalg.transpose(conn[direction - 1]), check=False), t)
 
 
 def holonomy_algebra(t: Form, rec: CurvatureRecord):
@@ -629,7 +588,7 @@ def nomizu(t: Form, rec: CurvatureRecord) -> LieAlgebraData:
         for y in range(x + 1, DIM):
             rxy = rec.endo(x + 1, y + 1)
             hvec = [-v for v in h_coords(rxy)]
-            tvec = [-_form_eval3(t, x + 1, y + 1, k) for k in range(1, DIM + 1)]
+            tvec = [-evaluate(t, x + 1, y + 1, k) for k in range(1, DIM + 1)]
             put(nh + x + 1, nh + y + 1, list(hvec) + tvec)
     L = LieAlgebraData(n, constants)
     ok, worst = jacobi_check(L)
@@ -686,6 +645,6 @@ def _signature(sym):
 
     vals = np.linalg.eigvalsh(np.array([[to_float(v) for v in row]
                                         for row in sym]))
-    pos = int(np.sum(vals > 1e-9))
-    neg = int(np.sum(vals < -1e-9))
+    pos = int(np.sum(vals > DEFAULT_TOL))
+    neg = int(np.sum(vals < -DEFAULT_TOL))
     return pos, neg

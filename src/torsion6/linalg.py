@@ -25,18 +25,6 @@ def identity(n):
     return mat
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
-
-
 def mat_vec(a, v):
     return [sum((row[j] * v[j] for j in range(len(v))), start=0) for row in a]
 

@@ -8,7 +8,6 @@ nilpotent frames with de5, de6 supported on e12 and e34 are built in.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from .liegeom import (
     LieAlgebraData,
     characteristic_connection,
     covariant_derivative_form,
-    levi_civita,
 )
 from .orbits import sigma
 from .scalars import is_zero

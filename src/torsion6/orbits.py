@@ -10,22 +10,23 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .forms import (
     DIM,
     Form,
-    SkewEndo,
     contract,
     endo_act_on_form,
     form_of_endo,
     monomials,
-    norm_sq,
+    sort_indices,
     wedge,
 )
-from .scalars import is_exact, is_zero, sym_sqrt, to_float
+from .liegeom import MON2, CurvatureRecord, zero_curvature
+from .scalars import DEFAULT_TOL, is_exact, is_zero, sym_sqrt, to_float
 from .unitary import (
     L2_MINUS_BASIS,
     M2_BASIS,
@@ -35,7 +36,6 @@ from .unitary import (
     identify_algebra,
     isotropy_algebra,
     project_l3,
-    torsion_type,
 )
 
 FIRST_FAMILY = ("I", "II", "III", "IV", "V", "VI")
@@ -62,11 +62,7 @@ def second_family_form(a1, a2, b1, b2) -> Form:
 def _pos(x, tol=None) -> bool:
     if is_exact(x):
         return x > 0
-    return to_float(x) > (tol if tol is not None else 1e-9)
-
-
-def _zero(x, tol=None) -> bool:
-    return is_zero(x, tol)
+    return to_float(x) > (tol if tol is not None else DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -92,23 +88,23 @@ class TorsionFamily:
         a1, a3, a4, a5 = self.a1, self.a3, self.a4, self.a5
         b1, b2 = self.b1, self.b2
         if c in FIRST_FAMILY:
-            if not (_zero(self.a2) and _zero(b1) and _zero(b2)):
+            if not (is_zero(self.a2) and is_zero(b1) and is_zero(b2)):
                 return "first-family cases use only a1, a3, a4, a5"
-            branch_34 = ((_pos(a3)) or (_zero(a3) and _pos(a4)))
+            branch_34 = ((_pos(a3)) or (is_zero(a3) and _pos(a4)))
             if c == "I":
-                if not (_zero(a1) and _zero(a3) and _zero(a4) and _pos(a5)):
+                if not (is_zero(a1) and is_zero(a3) and is_zero(a4) and _pos(a5)):
                     return "needs a1 = a3 = a4 = 0 and a5 > 0"
             elif c == "II":
-                if not (_pos(a1) and _zero(a3) and _zero(a4) and _zero(a5)):
+                if not (_pos(a1) and is_zero(a3) and is_zero(a4) and is_zero(a5)):
                     return "needs a1 > 0 and a3 = a4 = a5 = 0"
             elif c == "III":
-                if not (_pos(a1) and branch_34 and _zero(a5)):
+                if not (_pos(a1) and branch_34 and is_zero(a5)):
                     return "needs a1 > 0, a5 = 0 and (a3 > 0, or a3 = 0 < a4)"
             elif c == "IV":
-                if not (_zero(a1) and branch_34 and _pos(a5)):
+                if not (is_zero(a1) and branch_34 and _pos(a5)):
                     return "needs a1 = 0, a5 > 0 and (a3 > 0, or a3 = 0 < a4)"
             elif c == "V":
-                if not (_pos(a1) and _zero(a3) and _zero(a4) and _pos(a5)):
+                if not (_pos(a1) and is_zero(a3) and is_zero(a4) and _pos(a5)):
                     return "needs a1 > 0, a3 = a4 = 0, a5 > 0"
             elif c == "VI":
                 if not (_pos(a1) and branch_34 and _pos(a5)):
@@ -116,23 +112,23 @@ class TorsionFamily:
             return None
         if c in SECOND_FAMILY:
             a2 = self.a2
-            if not (_zero(a3) and _zero(a4) and _zero(a5)):
+            if not (is_zero(a3) and is_zero(a4) and is_zero(a5)):
                 return "second-family cases use only a1, a2, b1, b2"
             if c == "VII":
-                if not (_pos(a1) and _zero(a2) and _zero(b1) and _zero(b2)):
+                if not (_pos(a1) and is_zero(a2) and is_zero(b1) and is_zero(b2)):
                     return "needs a1 > 0 and a2 = b1 = b2 = 0"
             elif c == "VIII":
-                if not (_zero(a1) and _zero(a2) and _zero(b1) and not _zero(b2)):
+                if not (is_zero(a1) and is_zero(a2) and is_zero(b1) and not is_zero(b2)):
                     return "needs a1 = a2 = b1 = 0 and b2 != 0"
             elif c == "IX":
-                if not (_zero(a1) and _zero(a2) and not _zero(b1) and _zero(b2)):
+                if not (is_zero(a1) and is_zero(a2) and not is_zero(b1) and is_zero(b2)):
                     return "needs a1 = a2 = b2 = 0 and b1 != 0"
             elif c == "X":
-                if not (_zero(a1) and _zero(a2)
-                        and not _zero(b1) and _zero(b1 - 2 * b2)):
+                if not (is_zero(a1) and is_zero(a2)
+                        and not is_zero(b1) and is_zero(b1 - 2 * b2)):
                     return "needs a1 = a2 = 0 and b1 = 2 b2 != 0"
             elif c == "XI":
-                if (_zero(a1) and _zero(a2)) or _zero(b1) or not _zero(b1 - 2 * b2):
+                if (is_zero(a1) and is_zero(a2)) or is_zero(b1) or not is_zero(b1 - 2 * b2):
                     return "needs (a1, a2) != 0 and b1 = 2 b2 != 0"
             return None
         return f"unknown case tag {c!r}"
@@ -210,65 +206,27 @@ def so3_pair_reduce(v, w):
 def lie_group_criterion(t: Form, tol: float | None = None):
     """Value of 3|T2|^2 - |T12|^2 + |T6|^2 and whether it vanishes
     (equivalently, the torsion defines a Lie bracket)."""
-    comp = project_l3(t)
-    n2, n12, n6 = comp.norms_sq
-    value = 3 * n2 - n12 + n6
-    return value, is_zero(value, tol)
+    return project_l3(t).lie_group_criterion(tol)
 
 
 # --- first Bianchi feasibility ---
 
-def _cyclic_sum_form(wa: Form, wb: Form) -> Form:
-    """The alternating 4-form cyc(R) for R = wa (x) wb + wb (x) wa
-    (halved when wa is wb), via direct evaluation of the cyclic sum."""
-
-    # evaluate R(X,Y,Z,U) = wa(X,Y) wb(Z,U) symmetrized in the two factors
-    def ev(w: Form, i, j):
-        if i == j:
-            return 0
-        if i < j:
-            return w.coeffs.get((i, j), 0)
-        return -w.coeffs.get((j, i), 0)
-
-    def rr(x, y, z, u):
-        return ev(wa, x, y) * ev(wb, z, u) + ev(wb, x, y) * ev(wa, z, u)
-
-    out = {}
-    for idx in monomials(4):
-        x, y, z, u = idx
-        val = rr(x, y, z, u) + rr(y, z, x, u) + rr(z, x, y, u)
-        if not is_zero(val):
-            out[idx] = val
-    return Form(4, out)
-
-
-@dataclass
-class CurvatureCandidate:
-    """A pair-symmetric curvature operator with values in a subalgebra,
-    stored as a symmetric coefficient matrix over the subalgebra basis."""
-
-    basis: list  # SkewEndo basis of the value subalgebra
-    coeffs: list  # symmetric matrix over that basis
-
-    def cyclic_sum(self) -> Form:
-        out = Form(4)
-        forms = [form_of_endo(b) for b in self.basis]
-        n = len(forms)
-        for a in range(n):
-            for b in range(a, n):
-                c = self.coeffs[a][b]
-                if is_zero(c):
-                    continue
-                contrib = _cyclic_sum_form(forms[a], forms[b])
-                if a == b:
-                    contrib = Fraction(1, 2) * contrib
-                out = out + c * contrib
-        return out
+def _symmetric_product(wa: Form, wb: Form) -> CurvatureRecord:
+    """The record of w_a (x) w_b + w_b (x) w_a; rows and columns off the
+    monomials of w_a and w_b are zero."""
+    va, vb = wa.vector(), wb.vector()
+    support = [p for p, m in enumerate(MON2) if m in wa.coeffs or m in wb.coeffs]
+    mat = [[Fraction(0)] * len(MON2) for _ in MON2]
+    for p in support:
+        for q in support:
+            mat[p][q] = va[p] * vb[q] + vb[p] * va[q]
+    return CurvatureRecord(mat)
 
 
 def bianchi_feasible(t: Form, hol=None):
-    """Search S^2(hol) for a curvature candidate whose first-Bianchi cyclic
-    sum equals sigma(T).  Returns (feasible, witness or None)."""
+    """Search S^2(hol) for a curvature operator whose first-Bianchi cyclic
+    sum equals sigma(T).  Returns (feasible, witness or None); the witness is
+    a CurvatureRecord with values in hol."""
     if hol is None:
         hol = isotropy_algebra(t)
     else:
@@ -276,24 +234,25 @@ def bianchi_feasible(t: Form, hol=None):
             if not endo_act_on_form(h, t).is_zero():
                 raise ValueError("hol is not contained in the annihilator of T")
     target = sigma(t).vector()
-    n = len(hol)
     forms = [form_of_endo(h) for h in hol]
+    # the candidates w_a (x) w_b + w_b (x) w_a, halved when a = b
+    pairs = [(a, b) for a in range(len(hol)) for b in range(a, len(hol))]
+    recs = [_symmetric_product(forms[a], forms[b]) for a, b in pairs]
     cols = []
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    for a, b in pairs:
-        contrib = _cyclic_sum_form(forms[a], forms[b])
+    for (a, b), rec in zip(pairs, recs):
+        contrib = rec.cyclic_sum()
         if a == b:
             contrib = Fraction(1, 2) * contrib
         cols.append(contrib.vector())
-    sol = linalg.column_space_coords(cols, target) if cols else (
-        [] if all(is_zero(c) for c in target) else None)
+    sol = linalg.column_space_coords(cols, target)
     if sol is None:
         return False, None
-    coeffs = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), c in zip(pairs, sol):
-        coeffs[a][b] = c
-        coeffs[b][a] = c
-    return True, CurvatureCandidate(hol, coeffs)
+    witness = zero_curvature()
+    for (a, b), c, rec in zip(pairs, sol, recs):
+        if not is_zero(c):
+            witness = witness + (Fraction(1, 2) * c if a == b else c) * rec
+    witness.basis = list(hol)
+    return True, witness
 
 
 # --- diagnostic families used in the exclusion arguments ---
@@ -361,18 +320,9 @@ def _weight_basis():
         for (ia,), ca in phi[a].items():
             for (ib,), cb in phi[b].items():
                 for (ic,), cc in phi[c].items():
-                    idx = (ia, ib, ic)
-                    if len(set(idx)) < 3:
+                    order, sign = sort_indices((ia, ib, ic))
+                    if order is None:
                         continue
-                    order = tuple(sorted(idx))
-                    sign = 1
-                    # parity of the permutation sorting idx
-                    perm = list(idx)
-                    for x in range(3):
-                        for y in range(x + 1, 3):
-                            if perm[x] > perm[y]:
-                                perm[x], perm[y] = perm[y], perm[x]
-                                sign = -sign
                     out[order] = out.get(order, 0) + sign * ca * cb * cc
         return {k2: sympy.simplify(v) for k2, v in out.items()
                 if sympy.simplify(v) != 0}
@@ -451,19 +401,22 @@ def invariant_poly_dims(max_deg: int, allow_large: bool = False):
 
 # --- classification report ---
 
-_CASE_BY_SIGNATURE = {
-    ("W4", "u2_0"): "I",
-    ("W1+W3", "su2"): "II",
-    ("W1+W3", "t1"): "III",
-    ("W3+W4", "t2"): "IV",
-    ("W1+W3+W4", "su2"): "V",
-    ("W1+W3+W4", "t1"): "VI",
-    ("W1", "su3"): "VII",
-    ("W3", "u2_1"): "VIII",
-    ("W3", "t2"): "IX",
-    ("W3", "so3"): "X",
-    ("W1+W3", "so3"): "XI",
+# strict type, isotropy label and isotropy dimension of each case
+CASE_TABLE = {
+    "I": ("W4", "u2_0", 4),
+    "II": ("W1+W3", "su2", 3),
+    "III": ("W1+W3", "t1", 1),
+    "IV": ("W3+W4", "t2", 2),
+    "V": ("W1+W3+W4", "su2", 3),
+    "VI": ("W1+W3+W4", "t1", 1),
+    "VII": ("W1", "su3", 8),
+    "VIII": ("W3", "u2_1", 4),
+    "IX": ("W3", "t2", 2),
+    "X": ("W3", "so3", 3),
+    "XI": ("W1+W3", "so3", 3),
 }
+_CASE_BY_SIGNATURE = {(strict, label): case
+                      for case, (strict, label, _) in CASE_TABLE.items()}
 
 _ONE = Fraction(1)
 _FIRST_BASIS = (
@@ -527,25 +480,38 @@ def _extract_params(t: Form, basis, names):
 
 
 def classify_form(t: Form, tol: float | None = None) -> ClassificationReport:
-    """Best-effort identification of the singular-orbit case of a 3-form."""
+    """Best-effort identification of the singular-orbit case of a 3-form.
+
+    A form with float coefficients is classified as 2^-e T, the power-of-two
+    multiple whose largest |coefficient| lies in [1/2, 1), and the norms,
+    the criterion value and the parameters are scaled back.  Scaling by a
+    power of two is exact, so T and 2^k T get the same answer and `tol` is
+    relative to the size of T.
+    """
+    e = 0
+    if any(isinstance(c, float) for c in t.coeffs.values()):
+        e = math.frexp(max(abs(to_float(c)) for c in t.coeffs.values()))[1]
+        t = t.map_coeffs(lambda c: math.ldexp(to_float(c), -e))
+
+    def unscale(x, degree):
+        return math.ldexp(x, degree * e) if isinstance(x, float) else x
+
     comp = project_l3(t)
-    norms = comp.norms_sq
-    _, strict = torsion_type(t, tol)
+    _, strict = comp.torsion_type(tol)
     iso = isotropy_algebra(t)
     label = identify_algebra(iso)
-    value, holds = lie_group_criterion(t, tol)
+    value, holds = comp.lie_group_criterion(tol)
     feasible, _ = bianchi_feasible(t, iso)
 
     case = _CASE_BY_SIGNATURE.get((strict, label.tag))
     params = None
     ambiguity = None
-    if case in ("I", "II", "III", "IV", "V", "VI"):
+    if case in FIRST_FAMILY:
         params = _extract_params(t, _FIRST_BASIS, ("a1", "a3", "a4", "a5"))
-    elif case in ("VII", "VIII", "IX", "X", "XI"):
+    elif case in SECOND_FAMILY:
         params = _extract_params(t, _SECOND_BASIS, ("a1", "a2", "b1", "b2"))
-        if case == "XI" and params is not None and not is_zero(params["a2"], tol):
-            # frame rotation can trade a1 against a2; report the pair norm
-            pass
+    if params is not None:
+        params = {k: unscale(v, 1) for k, v in params.items()}
     if case is None:
         if strict == "Kaehler":
             verdict = "zero torsion (Kaehler)"
@@ -558,11 +524,10 @@ def classify_form(t: Form, tol: float | None = None) -> ClassificationReport:
         verdict = f"case {case}"
         if params is None:
             verdict += " (not presented in the normal frame)"
-    if label.tag == "t1" and params is not None and case is None:
-        ambiguity = "two parameter sets may give the same orbit"
     if strict == "W3" and label.tag == "t1":
         verdict = "strict W3 with 1-dim isotropy: not realizable by parallel torsion"
         ambiguity = "two parameter sets may give the same orbit"
+    norms = tuple(unscale(n, 2) for n in comp.norms_sq)
     return ClassificationReport(norms, strict, label.tag, label.dim, iso,
-                                case, params, value, holds, feasible,
-                                ambiguity, verdict)
+                                case, params, unscale(value, 2), holds,
+                                feasible, ambiguity, verdict)

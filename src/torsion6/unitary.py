@@ -99,6 +99,19 @@ class TorsionComponents:
     def total(self) -> Form:
         return self.t2 + self.t12 + self.t6
 
+    def torsion_type(self, tol: float | None = None) -> tuple[set, str]:
+        """Gray-Hervella classes present, with a strict-type string."""
+        present = {name for name, n in zip(("W1", "W3", "W4"), self.norms_sq)
+                   if not is_zero(n, tol)}
+        return present, "+".join(sorted(present)) if present else "Kaehler"
+
+    def lie_group_criterion(self, tol: float | None = None):
+        """Value of 3|T2|^2 - |T12|^2 + |T6|^2 and whether it vanishes
+        (equivalently, the torsion defines a Lie bracket)."""
+        n2, n12, n6 = self.norms_sq
+        value = 3 * n2 - n12 + n6
+        return value, is_zero(value, tol)
+
 
 def project_l3(t: Form, omega: Form = OMEGA) -> TorsionComponents:
     """Split a 3-form into the tau^2-eigencomponents (-9, -1, +1).
@@ -147,13 +160,7 @@ def theta(t: Form) -> IntrinsicTorsion:
 
 def torsion_type(t: Form, tol: float | None = None) -> tuple[set, str]:
     """Gray-Hervella classes present in a 3-form, with a strict-type string."""
-    comp = project_l3(t)
-    present = set()
-    for name, f in (("W1", comp.t2), ("W3", comp.t12), ("W4", comp.t6)):
-        if not is_zero(norm_sq(f), tol):
-            present.add(name)
-    label = "+".join(sorted(present)) if present else "Kaehler"
-    return present, label
+    return project_l3(t).torsion_type(tol)
 
 
 # --- U(2)-splitting of Lambda^3_2 and Lambda^3_12 (reduced frame, e5 = X) ---
@@ -324,22 +331,29 @@ def so6_basis():
     return [endo_of_form(Form.monomial(idx)) for idx in monomials(2)]
 
 
-def u3_basis():
-    """Deterministic basis of u(3) = {A in so(6): AJ = JA}."""
+def _kernel_combinations(basis, images):
+    """A basis of the combinations sum_a c_a basis[a] that a linear map sends
+    to zero; images[a] is the coordinate vector of the image of basis[a]."""
+    out = []
+    for coeffs in linalg.nullspace(linalg.transpose(images)):
+        m = SkewEndo.zero()
+        for c, b in zip(coeffs, basis):
+            m = m + c * b
+        out.append(m)
+    return out
+
+
+@functools.cache
+def u3_basis() -> tuple:
+    """Deterministic basis of u(3) = {A in so(6): AJ = JA}, computed once;
+    a tuple, because every caller shares it."""
     basis6 = so6_basis()
     rows = []
     for a in basis6:
         aj = a.compose(J)
         ja = J.compose(a)
         rows.append([aj[i][j] - ja[i][j] for i in range(DIM) for j in range(DIM)])
-    kern = linalg.nullspace(linalg.transpose(rows))
-    out = []
-    for coeffs in kern:
-        m = SkewEndo.zero()
-        for c, b in zip(coeffs, basis6):
-            m = m + c * b
-        out.append(m)
-    return out
+    return tuple(_kernel_combinations(basis6, rows))
 
 
 def isotropy_algebra(t: Form, ambient=None):
@@ -347,15 +361,8 @@ def isotropy_algebra(t: Form, ambient=None):
     if t.degree != 3:
         raise ValueError("isotropy_algebra needs a 3-form")
     basis = ambient if ambient is not None else u3_basis()
-    cols = [endo_act_on_form(a, t).vector() for a in basis]
-    kern = linalg.nullspace(linalg.transpose(cols))
-    out = []
-    for coeffs in kern:
-        m = SkewEndo.zero()
-        for c, a in zip(coeffs, basis):
-            m = m + c * a
-        out.append(m)
-    return out
+    return _kernel_combinations(basis, [endo_act_on_form(a, t).vector()
+                                        for a in basis])
 
 
 @dataclass
@@ -400,7 +407,7 @@ def identify_algebra(basis) -> AlgebraLabel:
     if dim == 8:
         return AlgebraLabel("su3", 8, evidence)
     if dim == 4:
-        tag = _u2_tag(basis, span, evidence)
+        tag = _u2_tag(basis, evidence)
         return AlgebraLabel(tag, 4, evidence)
     if dim == 3:
         if derived_dim == 3:
@@ -416,22 +423,9 @@ def identify_algebra(basis) -> AlgebraLabel:
     return AlgebraLabel("unknown", dim, evidence)
 
 
-def _center_basis(basis, span):
-    rows = []
-    for b in basis:
-        rows.append([x for a in basis for x in a.bracket(b).flat()])
-    kern = linalg.nullspace(linalg.transpose(rows))
-    out = []
-    for coeffs in kern:
-        m = SkewEndo.zero()
-        for c, a in zip(coeffs, basis):
-            m = m + c * a
-        out.append(m)
-    return out
-
-
-def _u2_tag(basis, span, evidence) -> str:
-    center = _center_basis(basis, span)
+def _u2_tag(basis, evidence) -> str:
+    center = _kernel_combinations(
+        basis, [[x for a in basis for x in a.bracket(b).flat()] for b in basis])
     evidence["center_dim"] = len(center)
     if len(center) != 1:
         return "unknown"

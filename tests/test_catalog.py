@@ -30,6 +30,13 @@ def test_unknown_entry():
         catalog.build("s7")
 
 
+def test_non_numeric_parameter_is_named():
+    with pytest.raises(ValueError, match="numeric parameter t"):
+        catalog.build("s3xs3-t2", s=1, t="x")
+    with pytest.raises(ValueError, match="numeric parameter alpha4"):
+        catalog.local_model_group(1, [1], 1)
+
+
 # --- product of two 3-spheres, torus holonomy -------------------------------
 
 def test_s3xs3_t2_round_unit():

@@ -95,13 +95,25 @@ def test_example_bad_params_exit_2():
     assert "p > 0" in payload["error"]
 
 
+def test_example_float_decimal_params():
+    # 0.1 is coerced to 1/10, the value the expected invariants assume
+    status, payload, _ = run(["example", "s3xs3-t2", "--set", "s=0.1",
+                              "--set", "t=0.1", "--backend", "float"])
+    assert status == 0
+    assert payload["result"]["mismatches"] == []
+    assert payload["result"]["params"] == {"s": "1/10", "t": "1/10"}
+
+
 def test_sweep_propagates_point_errors():
     status, payload, _ = run(["sweep", "s3xs3-t2", "--grid",
-                              '[{"s": 1, "t": 1}, {"s": 0, "t": 1}]'])
+                              '[{"s": 1, "t": 1}, {"s": 0, "t": 1},'
+                              ' {"s": "x", "t": 1}]'])
     assert status == 0
     pts = payload["result"]["points"]
     assert pts[0]["mismatches"] == []
     assert "s > 0" in pts[1]["error"]
+    assert pts[2]["params"] == {"s": "x", "t": "1"}
+    assert "x" in pts[2]["error"]
 
 
 def test_sweep_bad_grid_exit_2():

@@ -197,6 +197,8 @@ def test_characteristic_connection_nil():
     assert connection_torsion(L, conn) == t
     for d in range(1, 7):
         assert covariant_derivative_form(L, conn, t, d).is_zero()
+    with pytest.raises(ValueError, match="6-dimensional"):
+        covariant_derivative_form(su2_algebra(), conn, t, 1)
     with pytest.raises(ValueError, match="3-form"):
         characteristic_connection(L, e(1, 2))
 

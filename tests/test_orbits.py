@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from torsion6.forms import Form, OMEGA, contract, monomials, norm_sq, wedge
 from torsion6.orbits import (
@@ -257,3 +258,64 @@ def test_classify_examples():
     payload = classify_form(second_family_form(0, 0, Fraction(1), 0)).to_json()
     assert '"caseTag": "IX"' in payload
     assert '"t12": "2"' in payload
+
+
+def cayley_u3(rng):
+    """The exact element (I - A)(I + A)^-1 of U(3) for a seeded rational A
+    in u(3), as a 6x6 matrix of Fractions."""
+    x = [[0] * 3 for _ in range(3)]  # antisymmetric real part
+    y = [[0] * 3 for _ in range(3)]  # symmetric imaginary part
+    for p in range(3):
+        y[p][p] = sp.Rational(frac(rng))
+        for q in range(p + 1, 3):
+            x[p][q] = sp.Rational(frac(rng))
+            x[q][p] = -x[p][q]
+            y[p][q] = y[q][p] = sp.Rational(frac(rng))
+    a = sp.zeros(6, 6)
+    for p in range(3):
+        for q in range(3):
+            a[2 * p, 2 * q], a[2 * p, 2 * q + 1] = x[p][q], -y[p][q]
+            a[2 * p + 1, 2 * q], a[2 * p + 1, 2 * q + 1] = y[p][q], x[p][q]
+    one = sp.eye(6)
+    u = (one - a) * (one + a).inv()
+    assert u.T * u == one
+    return [[Fraction(int(v.p), int(v.q)) for v in u.row(i)] for i in range(6)]
+
+
+def rotate(t, u):
+    """The 3-form obtained from t by sending e_a to the a-th column of u."""
+    cols = [Form(1, {(i + 1,): u[i][a] for i in range(6)}) for a in range(6)]
+    out = Form(3)
+    for (a, b, c), coeff in t.coeffs.items():
+        out = out + coeff * wedge(wedge(cols[a - 1], cols[b - 1]), cols[c - 1])
+    return out
+
+
+def test_classify_ignores_unitary_frame_rotations():
+    rng = random.Random(21)
+    for case in ALL_CASES:
+        t = make_torsion(sample_family(case, rng))
+        rep = classify_form(t)
+        for _ in range(2):
+            moved = rotate(t, cayley_u3(rng))
+            assert moved != t
+            got = classify_form(moved)
+            assert (got.strict_type, got.iso_label, got.iso_dim, got.case,
+                    got.norms_sq) == (rep.strict_type, rep.iso_label,
+                                      rep.iso_dim, case, rep.norms_sq), case
+
+
+def test_float_classification_is_scale_invariant():
+    rng = random.Random(22)
+    for case in ALL_CASES:
+        t = make_torsion(sample_family(case, rng))
+        exact = classify_form(t)
+        want = (exact.strict_type, exact.iso_label, exact.iso_dim, case)
+        base = classify_form(t.to_float(), 1e-9)
+        for k in (-20, -10, 0, 10, 20):
+            rep = classify_form(t.to_float() * 2.0 ** k, 1e-9)
+            assert (rep.strict_type, rep.iso_label, rep.iso_dim,
+                    rep.case) == want, (case, k)
+            # scaling by a power of two is exact, so the numbers scale exactly
+            assert rep.norms_sq == tuple(n * 4.0 ** k for n in base.norms_sq)
+            assert rep.criterion_value == base.criterion_value * 4.0 ** k
