@@ -77,17 +77,19 @@ def _cross(a, b):
 
 def _algebra_from_frame(vectors, bracket):
     """Structure constants of a frame given by ambient vectors and an
-    ambient bracket, solved exactly."""
+    ambient bracket, solved exactly.  All brackets are solved in one
+    elimination; a bracket outside the span of the frame raises a
+    ValueError."""
     n = len(vectors)
-    mat = sp.Matrix.hstack(*vectors)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sol = sp.Matrix.hstack(*vectors).solve(
+        sp.Matrix.hstack(*[bracket(vectors[i], vectors[j]) for i, j in pairs]))
     constants = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            sol = mat.solve(bracket(vectors[i], vectors[j]))
-            for k in range(n):
-                v = sp.nsimplify(sp.simplify(sol[k]))
-                if v != 0:
-                    constants[(i + 1, j + 1, k + 1)] = simplify(v)
+    for col, (i, j) in enumerate(pairs):
+        for k in range(n):
+            v = sp.nsimplify(sp.simplify(sol[k, col]))
+            if v != 0:
+                constants[(i + 1, j + 1, k + 1)] = simplify(v)
     return LieAlgebraData(n, constants)
 
 
@@ -599,6 +601,13 @@ for _case in NIL_TABLE:
 def build(name, **params):
     if name not in ENTRIES:
         raise ValueError(f"unknown catalog entry {name!r}")
+    schema = ENTRIES[name]["schema"]
+    problems = [f"{what} parameter(s) {', '.join(sorted(keys))}"
+                for what, keys in (("unknown", params.keys() - schema.keys()),
+                                   ("missing", schema.keys() - params.keys()))
+                if keys]
+    if problems:
+        raise ValueError(f"{name}: {'; '.join(problems)}")
     return ENTRIES[name]["builder"](**_rationals(params))
 
 
@@ -609,7 +618,7 @@ def sweep(name, grid):
     for point in grid:
         try:
             out.append({"params": dict(point), "report": build(name, **point)})
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             out.append({"params": dict(point), "error": str(exc)})
     return out
 

@@ -318,22 +318,25 @@ OMEGA = Form(2, {(1, 2): Fraction(1), (3, 4): Fraction(1), (5, 6): Fraction(1)})
 J = endo_of_form(OMEGA)
 VOL = Form(6, {tuple(range(1, 7)): Fraction(1)})
 
+# a coefficient with an exponent ('2.5e-3') must be followed by '*'; without
+# it, 'e' starts the monomial, so '3e135' is 3*e135
 _TERM_RE = re.compile(
-    r"^(?P<coeff>[^e]*?)\*?\s*e(?P<idx>[1-6]+)$|^(?P<scalar>[^e]+)$"
+    r"^(?:(?P<coeff>[^e]*?)\*?|(?P<ecoeff>(?:\d+\.?\d*|\.\d+)e[+-]?\d+)\*)"
+    r"e(?P<idx>[1-6]+)$|^(?P<scalar>[^e]+)$"
 )
 
 
 def parse_form(text: str, exact: bool = True) -> Form:
-    """Parse a form literal like '3e135 + e146 - 1/2*e236'.
+    """Parse a form literal like '3e135 + e146 - 1/2*e236 + 2.5e-3*e245'.
 
-    Coefficients may be rationals 'p/q' or decimals; with exact=False the
-    coefficients are floats.
+    Coefficients may be rationals 'p/q', decimals, or decimals with an
+    exponent followed by '*'; with exact=False the coefficients are floats.
     """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty form literal")
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    # split into signed terms; a sign right after 'e' belongs to an exponent
+    terms = re.findall(r"[+-]?(?:e[+-]|[^+-])+", s)
     if "".join(terms) != s:
         raise ValueError(f"cannot parse form literal {text!r}")
     parsed = []
@@ -349,7 +352,8 @@ def parse_form(text: str, exact: bool = True) -> Form:
         if m.group("scalar") is not None:
             coeff_text, idx = m.group("scalar"), ()
         else:
-            coeff_text, idx = m.group("coeff"), tuple(int(d) for d in m.group("idx"))
+            coeff_text = m.group("ecoeff") or m.group("coeff")
+            idx = tuple(int(d) for d in m.group("idx"))
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError(f"indices must be strictly increasing in {term!r}")
         if coeff_text in ("", None):

@@ -64,6 +64,13 @@ class LieAlgebraData:
                 out[k - 1] = sign * v
         return out
 
+    def entries(self):
+        """(i, j, k, c[i,j,k]) for every nonzero constant, 0-based, with both
+        orders of i and j."""
+        for (i, j, k), v in self.c.items():
+            yield i - 1, j - 1, k - 1, v
+            yield j - 1, i - 1, k - 1, -v
+
     def bracket(self, x, y):
         out = [Fraction(0)] * self.dim
         for i in range(self.dim):
@@ -332,28 +339,25 @@ def _span_endos(endos):
 
 def levi_civita(L: LieAlgebraData, g=None):
     """Connection coefficients gamma[i][j] = components of the covariant
-    derivative of the j-th frame field in the i-th direction (Koszul)."""
+    derivative of the j-th frame field in the i-th direction (Koszul):
+    gamma[i][j] = g^-1 1/2 (B[i,j,.] - B[j,.,i] + B[.,i,j]) with the lowered
+    structure constants B[i,j,k] = g([e_i, e_j], e_k)."""
     n = L.dim
     if g is None:
         g = linalg.identity(n)
     ginv = _inverse(g)
-
-    def ip(x, y):
-        return sum(g[a][b] * x[a] * y[b] for a in range(n) for b in range(n))
-
-    gamma = [[None] * n for _ in range(n)]
-    for i in range(n):
-        ei = _basis_vec(n, i)
-        for j in range(n):
-            ej = _basis_vec(n, j)
-            rhs = []
-            for k in range(n):
-                ek = _basis_vec(n, k)
-                v = ip(L.bracket(ei, ej), ek) - ip(L.bracket(ej, ek), ei) \
-                    + ip(L.bracket(ek, ei), ej)
-                rhs.append(Fraction(1, 2) * v)
-            gamma[i][j] = linalg.mat_vec(ginv, rhs)
-    return gamma
+    g_rows = [[(k, x) for k, x in enumerate(row) if not is_zero(x)]
+              for row in g]
+    low = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, a, v in L.entries():
+        row = low[i][j]
+        for k, x in g_rows[a]:
+            row[k] = row[k] + v * x
+    half = Fraction(1, 2)
+    return [[linalg.mat_vec(ginv, [half * (low[i][j][k] - low[j][k][i]
+                                           + low[k][i][j])
+                                   for k in range(n)])
+             for j in range(n)] for i in range(n)]
 
 
 def _basis_vec(n, i):
@@ -627,14 +631,13 @@ def algebra_fingerprint(L: LieAlgebraData):
         rows.extend(linalg.transpose(cols))
     center = len(linalg.nullspace(rows))
 
-    killing = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                adj = L.bracket(basis[i], L.bracket(basis[j], basis[k]))
-                s = s + adj[k]
-            killing[i][j] = s
+    # B(i, j) = tr(ad_i ad_j); ad[i] holds the nonzero entries (k, m) of ad_i
+    ad = [{} for _ in range(n)]
+    for i, m, k, v in L.entries():
+        ad[i][(k, m)] = v
+    killing = [[sum((v * ad[j][(m, k)] for (k, m), v in ad[i].items()
+                     if (m, k) in ad[j]), Fraction(0))
+                for j in range(n)] for i in range(n)]
     pos, neg = _signature(killing)
     return {"dim": n, "derived": tuple(derived), "center": center,
             "killing": (pos, neg)}

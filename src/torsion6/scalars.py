@@ -5,6 +5,11 @@ on the exact backend, ``float`` on the floating backend.  Sympy expressions
 are accepted as well, so that model constructions involving square roots
 stay exact.  Every routine in this package is written against this small
 common interface instead of a wrapper class.
+
+The zero test of a sympy expression is exact and certified in three
+stages: a numeric evaluation that can only ever prove a value nonzero,
+then ``sympy.expand``, then ``sympy.simplify``.  No float tolerance decides
+that an exact value is zero.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy
+from sympy.core.evalf import PrecisionExhausted
 
 DEFAULT_TOL = 1e-9
 
@@ -36,9 +42,26 @@ def is_exact(x) -> bool:
 
 
 def is_zero(x, tol: float | None = None) -> bool:
-    """Zero test. Exact scalars compare exactly, floats against a tolerance."""
+    """Zero test. Exact scalars compare exactly, floats against a tolerance.
+
+    A sympy expression that is not a plain number is first evaluated to 30
+    digits in sympy's strict mode, which certifies the relative accuracy of
+    the result: a nonzero value proves the expression nonzero.  The numeric
+    stage only ever answers False; an evaluation that is zero or cannot be
+    told from zero goes on to ``sympy.expand`` and, if that does not reduce
+    the expression to 0, to ``sympy.simplify``.
+    """
     if isinstance(x, sympy.Expr):
-        return sympy.simplify(x) == 0
+        if x.is_Number:
+            return x == 0
+        try:
+            v = x.evalf(30, strict=True)
+        except PrecisionExhausted:
+            pass
+        else:
+            if v.is_Number and v != 0:
+                return False
+        return sympy.expand(x) == 0 or sympy.simplify(x) == 0
     if isinstance(x, (int, Fraction)):
         return x == 0
     if tol is None:

@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from . import linalg
@@ -30,7 +31,7 @@ from .forms import (
     norm_sq,
     wedge,
 )
-from .scalars import is_zero, sym_sqrt
+from .scalars import DEFAULT_TOL, is_exact, is_zero, sym_sqrt
 
 
 def split_so6(a: SkewEndo) -> tuple[SkewEndo, SkewEndo, SkewEndo, SkewEndo]:
@@ -424,25 +425,43 @@ def identify_algebra(basis) -> AlgebraLabel:
 
 
 def _u2_tag(basis, evidence) -> str:
+    """u2_k from the weights (w, w, 2kw) of the center on C^3.  Exact centers
+    are diagonalized exactly; float centers with numpy, comparing the weight
+    ratios within DEFAULT_TOL relative to the largest |weight|."""
     center = _kernel_combinations(
         basis, [[x for a in basis for x in a.bracket(b).flat()] for b in basis])
     evidence["center_dim"] = len(center)
     if len(center) != 1:
         return "unknown"
-    z = complex_matrix(center[0])
-    evs = []
-    for ev, mult in z.eigenvals().items():
-        w = sympy.simplify(ev / sympy.I)
-        if not w.is_rational:
-            return "unknown"
-        evs.extend([Fraction(int(w.p), int(w.q))] * mult)
-    evidence["center_weights"] = [str(w) for w in sorted(evs)]
+    z = center[0]
+    if all(is_exact(v) for row in z.mat for v in row):
+        evs = []
+        for ev, mult in complex_matrix(z).eigenvals().items():
+            w = sympy.simplify(ev / sympy.I)
+            if not w.is_rational:
+                return "unknown"
+            evs.extend([Fraction(int(w.p), int(w.q))] * mult)
+        evidence["center_weights"] = [str(w) for w in sorted(evs)]
+
+        def near(a, b):
+            return a == b
+    else:
+        m = np.array([[z.mat[2 * p][2 * q] + 1j * z.mat[2 * p + 1][2 * q]
+                       for q in range(3)] for p in range(3)], dtype=complex)
+        evs = sorted((np.linalg.eigvals(m) / 1j).real.tolist())
+        evidence["center_weights"] = [str(w) for w in evs]
+        scale = max(abs(w) for w in evs)
+        evs = [w / scale for w in evs]
+
+        def near(a, b):
+            return abs(a - b) <= DEFAULT_TOL
     for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if evs[i] == evs[j] and evs[i] != 0:
+        if near(evs[i], evs[j]) and not near(evs[i], 0):
             k = evs[r] / (2 * evs[i])
-            if k in (-1, 0, 1):
-                evidence["u2_k"] = int(k)
-                return f"u2_{int(k)}"
+            for kk in (-1, 0, 1):
+                if near(k, kk):
+                    evidence["u2_k"] = kk
+                    return f"u2_{kk}"
     return "unknown"
 
 

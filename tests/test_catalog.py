@@ -39,6 +39,21 @@ def test_non_numeric_parameter_is_named():
 
 # --- product of two 3-spheres, torus holonomy -------------------------------
 
+def test_algebra_from_frame_rejects_bracket_outside_span():
+    e1, e2 = sp.Matrix([1, 0, 0]), sp.Matrix([0, 1, 0])
+    with pytest.raises(ValueError):
+        catalog._algebra_from_frame([e1, e2], lambda x, y: x.cross(y))
+
+
+def test_parameter_keys_checked_against_schema():
+    with pytest.raises(ValueError, match="unknown parameter.*foo"):
+        catalog.build("s3xs3-t2", s=1, t=1, foo=1)
+    with pytest.raises(ValueError, match="missing parameter.*t"):
+        catalog.build("s3xs3-t2", s=1)
+    with pytest.raises(ValueError, match="unknown parameter.*p"):
+        catalog.build("e3-so3", p=1)
+
+
 def test_s3xs3_t2_round_unit():
     rep = catalog.build("s3xs3-t2", s=1, t=1)
     assert rep["mismatches"] == []
@@ -263,9 +278,11 @@ def test_local_model_algebra_unknown():
 
 def test_sweep_collects_per_point_errors():
     rows = catalog.sweep("s3xs3-t2", [{"s": 1, "t": 1}, {"s": 0, "t": 1},
-                                      {"s": 1, "t": 2}])
+                                      {"s": 1, "t": 2},
+                                      {"s": 1, "t": 1, "foo": 1}])
     assert "report" in rows[0] and "report" in rows[2]
     assert "error" in rows[1] and "s > 0" in rows[1]["error"]
+    assert "foo" in rows[3]["error"]
 
 
 def test_sweep_empty_grid():

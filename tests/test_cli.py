@@ -95,6 +95,13 @@ def test_example_bad_params_exit_2():
     assert "p > 0" in payload["error"]
 
 
+def test_example_unknown_parameter_exits_2():
+    status, payload, _ = run(["example", "s3xs3-t2", "--set", "s=1",
+                              "--set", "t=1", "--set", "foo=1"])
+    assert status == 2
+    assert "foo" in payload["error"]
+
+
 def test_example_float_decimal_params():
     # 0.1 is coerced to 1/10, the value the expected invariants assume
     status, payload, _ = run(["example", "s3xs3-t2", "--set", "s=0.1",

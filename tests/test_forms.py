@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,21 @@ def test_parse_and_format():
         parse_form("e12 + e345")
     with pytest.raises(ValueError):
         parse_form("e127")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_parse_scientific_notation(exact):
+    f = parse_form("1e6*e125 - 2.5e-3*e135 + 3e146 + 1e-7*e234", exact)
+    want = {(1, 2, 5): Fraction(10 ** 6), (1, 3, 5): Fraction(-1, 400),
+            (1, 4, 6): Fraction(3), (2, 3, 4): Fraction(1, 10 ** 7)}
+    if not exact:
+        want = {k: float(v) for k, v in want.items()}
+    assert f.coeffs == want
+    assert parse_form(format_form(f), exact) == f
+    # an exponent needs '*'; the error names the term
+    for bad in ("1e6e125", "2.5e-3e135", "1e-6", "-1e+2e12"):
+        with pytest.raises(ValueError, match=re.escape(f"term {bad!r}")):
+            parse_form(bad, exact)
 
 
 def test_skew_endo_validation():

@@ -178,6 +178,39 @@ def test_levi_civita_anchors():
             assert conn[i][j] == half
 
 
+def koszul_reference(L, g):
+    """Levi-Civita coefficients from the Koszul formula evaluated on dense
+    brackets of basis vectors, solved against g row by row."""
+    n = L.dim
+
+    def ip(x, y):
+        return sum(g[a][b] * x[a] * y[b] for a in range(n) for b in range(n))
+
+    basis = [[fr(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    gamma = [[None] * n for _ in range(n)]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            rhs = [fr(1, 2) * (ip(L.bracket(ei, ej), ek)
+                               - ip(L.bracket(ej, ek), ei)
+                               + ip(L.bracket(ek, ei), ej)) for ek in basis]
+            red, _ = linalg.rref([list(row) + [v] for row, v in zip(g, rhs)])
+            gamma[i][j] = [row[n] for row in red]
+    return gamma
+
+
+def test_levi_civita_non_orthonormal_metric():
+    # symmetric, diagonally dominant, neither identity nor diagonal
+    g = [[fr(2) if i == j else fr(0) for j in range(6)] for i in range(6)]
+    for i in range(5):
+        g[i][i + 1] = g[i + 1][i] = fr(1, 2)
+    g[0][5] = g[5][0] = fr(-1, 3)
+    for L in (nil_algebra(fr(1, 2), fr(1), fr(1)), s3xs3(fr(2), fr(3))):
+        conn = levi_civita(L, g)
+        assert conn == koszul_reference(L, g)
+        assert is_metric(L, conn, g)
+        assert connection_torsion(L, conn).is_zero()
+
+
 def test_levi_civita_degenerate_metric():
     g = linalg.identity(6)
     g[5][5] = Fraction(0)
@@ -343,3 +376,7 @@ def test_fingerprint_distinguishes():
     fpn = algebra_fingerprint(nil_algebra(fr(1, 2), fr(1), fr(1)))
     assert fpn["killing"] == (0, 0) and fpn["center"] == 2
     assert fp6 != fpn
+    assert algebra_fingerprint(su2_algebra())["killing"] == (0, 3)
+    sl2r = LieAlgebraData(3, {(1, 2, 2): fr(2), (1, 3, 3): fr(-2),
+                              (2, 3, 1): fr(1)})
+    assert algebra_fingerprint(sl2r)["killing"] == (2, 1)

@@ -319,3 +319,17 @@ def test_float_classification_is_scale_invariant():
             # scaling by a power of two is exact, so the numbers scale exactly
             assert rep.norms_sq == tuple(n * 4.0 ** k for n in base.norms_sq)
             assert rep.criterion_value == base.criterion_value * 4.0 ** k
+
+
+def test_float_rotated_u2_cases_keep_label():
+    # the center of the u(2) isotropy is diagonalized in floats, so rotated
+    # float forms of cases I and VIII keep their u2 label
+    rng = random.Random(23)
+    for case in ("I", "VIII"):
+        t = make_torsion(sample_family(case, rng))
+        exact = classify_form(t)
+        assert exact.iso_label.startswith("u2_")
+        for _ in range(3):
+            got = classify_form(rotate(t, cayley_u3(rng)).to_float(), 1e-9)
+            assert (got.iso_label, got.iso_dim, got.case) == \
+                (exact.iso_label, exact.iso_dim, case)
