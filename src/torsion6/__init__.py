@@ -1,4 +1,10 @@
-"""Pointwise linear algebra for almost hermitian geometry in dimension six."""
+"""Pointwise linear algebra for almost hermitian geometry in dimension six.
+
+The spinor functions (numpy) and the `catalog` module (sympy) are served on
+first use, so that importing the package loads neither library.
+"""
+
+import importlib
 
 from .forms import (
     DIM,
@@ -39,8 +45,6 @@ from .orbits import (
     make_torsion,
     sigma,
 )
-from .clifford import is_scalar_square, parallel_spinors, \
-    torsion_spinor_spectrum
 from .liegeom import (
     CurvatureRecord,
     LieAlgebraData,
@@ -52,7 +56,17 @@ from .liegeom import (
 )
 from .nil import StructureEquations, betti_vector, nil_family, nil_torsion, \
     verify_parallel
-from . import catalog
+
+_CLIFFORD = ("is_scalar_square", "parallel_spinors", "torsion_spinor_spectrum")
+
+
+def __getattr__(name):
+    if name == "catalog":
+        return importlib.import_module(f"{__name__}.catalog")
+    if name in _CLIFFORD:
+        return getattr(importlib.import_module(f"{__name__}.clifford"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DIM", "Form", "J", "OMEGA", "SkewEndo", "VOL",

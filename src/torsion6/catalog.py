@@ -87,9 +87,9 @@ def _algebra_from_frame(vectors, bracket):
     constants = {}
     for col, (i, j) in enumerate(pairs):
         for k in range(n):
-            v = sp.nsimplify(sp.simplify(sol[k, col]))
+            v = simplify(sol[k, col])
             if v != 0:
-                constants[(i + 1, j + 1, k + 1)] = simplify(v)
+                constants[(i + 1, j + 1, k + 1)] = v
     return LieAlgebraData(n, constants)
 
 
@@ -201,7 +201,7 @@ def build_s3xs3_t2(s, t):
     L = LieAlgebraData(6, {(1, 2, 5): s, (1, 5, 2): -s, (2, 5, 1): s,
                            (3, 4, 6): t, (3, 6, 4): -t, (4, 6, 3): t})
     model = ReductiveModel(L, [], [1, 2, 3, 4, 5, 6])
-    ss, tt = sp.nsimplify(s), sp.nsimplify(t)
+    ss, tt = sp.Rational(s), sp.Rational(t)
     half = (ss ** 2 + tt ** 2) / 2
     alphas = ((ss ** 2 - tt ** 2) / (2 * sp.sqrt(ss ** 2 + tt ** 2)),
               -ss * tt / sp.sqrt(ss ** 2 + tt ** 2),
@@ -237,8 +237,9 @@ def build_s3xs3_t2bundle(a3, a4, a5):
     _require(a3 - a5 < 0, "alpha3 - alpha5 < 0")
     _require(a5 > 0, "alpha5 > 0")
     _require(a4 != 0, "alpha4 != 0")
-    b3, b4, b5 = map(sp.nsimplify, (a3, a4, a5))
+    b3, b4, b5 = map(sp.Rational, (a3, a4, a5))
     lam = a3 * a3 + a4 * a4 - a5 * a5
+    blam = sp.Rational(lam)
     s2 = 2 * b5 * (b3 + b5)
     t2 = -2 * b5 * (b3 - b5)
     s, t = sp.sqrt(s2), sp.sqrt(t2)
@@ -252,9 +253,9 @@ def build_s3xs3_t2bundle(a3, a4, a5):
         amb(0, 0, _Z3, t * _E3[0]),
         amb(0, 0, _Z3, t * _E3[1]),
         amb(0, 0, s2 * _E3[2], t2 * _E3[2]) * (-1 / (2 * b5)),
-        amb(-2 * sp.nsimplify(lam), 2 * sp.nsimplify(lam),
-            ((b3 / b5 - 1) * s2 - 2 * sp.nsimplify(lam)) * _E3[2],
-            ((b3 / b5 + 1) * t2 + 2 * sp.nsimplify(lam)) * _E3[2]) / (2 * b4),
+        amb(-2 * blam, 2 * blam,
+            ((b3 / b5 - 1) * s2 - 2 * blam) * _E3[2],
+            ((b3 / b5 + 1) * t2 + 2 * blam) * _E3[2]) / (2 * b4),
         amb(1, -1, _E3[2], -_E3[2]),
     ]
 
@@ -301,8 +302,7 @@ def build_s3xs3_so3(b, d, k1, k2):
     a = -(d - 1) * (d * k1 + b * k2) / ((b - d) * k2)
     c = (b - 1) * (d * k1 + b * k2) / ((b - d) * k1)
     _require(a * d + b + c - a - b * c - d != 0, "ad+b+c-a-bc-d != 0")
-    bb, dd, kk1, kk2 = map(sp.nsimplify, (b, d, k1, k2))
-    aa, cc = sp.nsimplify(a), sp.nsimplify(c)
+    bb, dd, kk1, kk2, aa, cc = map(sp.Rational, (b, d, k1, k2, a, c))
     u = [_vstack(_E3[i], aa * _E3[i], bb * _E3[i]) / sp.sqrt(kk1)
          for i in range(3)]
     v = [_vstack(_E3[i], cc * _E3[i], dd * _E3[i]) / sp.sqrt(kk2)
@@ -336,7 +336,7 @@ def build_s3xs3_so3(b, d, k1, k2):
 
 def build_sl2c_so3(p):
     _require(p > 0, "p > 0")
-    pp = sp.nsimplify(p)
+    pp = sp.Rational(p)
     u = [_vstack(_E3[i], _E3[i] / (pp + 1), _Z3) for i in range(3)]
     v = [_vstack(_Z3, _Z3, _E3[i]) * sp.sqrt(pp) / (pp + 1) for i in range(3)]
     h = [_vstack(_E3[i], _E3[i], _Z3) for i in range(3)]

@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .clifford import is_scalar_square, parallel_spinors, torsion_spinor_spectrum
 from .forms import Form, endo_of_form, form_of_endo, format_form, parse_form
 from .nil import StructureEquations, betti_vector, nil_torsion, structure_tag
 from .orbits import (
@@ -32,7 +31,6 @@ from .unitary import (
     isotropy_algebra,
     torus_fixed_dims,
 )
-from . import catalog
 
 BACKEND_ENV = "TORSION6_BACKEND"
 
@@ -105,6 +103,8 @@ def _cmd_sigma(args):
 
 
 def _cmd_clifford(args):
+    from .clifford import is_scalar_square
+
     t = _parse_form_arg(args.form, args.backend)
     tol = None if args.backend == "rational" else args.tol
     scalar, square = is_scalar_square(t, tol)
@@ -118,6 +118,8 @@ def _cmd_clifford(args):
 
 
 def _cmd_spinors(args):
+    from .clifford import parallel_spinors, torsion_spinor_spectrum
+
     t = _parse_form_arg(args.form, args.backend)
     hol = [] if args.holonomy == "none" else isotropy_algebra(t)
     count, _ = parallel_spinors(hol, args.tol)
@@ -166,6 +168,8 @@ def _sanitize_report(rep):
 
 
 def _cmd_example(args):
+    from . import catalog
+
     params = {}
     for item in args.set or []:
         if "=" not in item:
@@ -178,6 +182,8 @@ def _cmd_example(args):
 
 
 def _cmd_sweep(args):
+    from . import catalog
+
     try:
         grid = json.loads(args.grid)
     except json.JSONDecodeError as exc:
@@ -286,6 +292,8 @@ def _su2_basis():
 
 
 def _spectrum_row(t, hol):
+    from .clifford import parallel_spinors, torsion_spinor_spectrum
+
     count, _ = parallel_spinors(hol)
     spec = [float(v) for v in torsion_spinor_spectrum(t, hol)] if count else []
     return count, spec
@@ -297,13 +305,18 @@ def _spec_matches(spec, want, tol):
     return all(abs(a - b) <= tol for a, b in zip(sorted(spec), sorted(want)))
 
 
-def _table1():
+def _case_reports():
+    """The classification of each case sample, shared by tables 1 and 2."""
+    return {case: classify_form(make_torsion(TorsionFamily(
+                case, **{k: Fraction(v) for k, v in kwargs.items()})))
+            for case, kwargs in _CASE_SAMPLES.items()}
+
+
+def _table1(reports):
     rows = []
     diffs = []
     seen = {}
-    for case, kwargs in _CASE_SAMPLES.items():
-        fam = TorsionFamily(case, **{k: Fraction(v) for k, v in kwargs.items()})
-        rep = classify_form(make_torsion(fam))
+    for rep in reports.values():
         seen.setdefault(rep.strict_type, set()).add(rep.iso_label)
     expected = {}  # strict type -> the isotropy labels of its cases
     for strict, label, _ in CASE_TABLE.values():
@@ -317,13 +330,10 @@ def _table1():
     return rows, diffs
 
 
-def _table2():
+def _table2(reports):
     rows = []
     diffs = []
-    for case in _CASE_SAMPLES:
-        fam = TorsionFamily(case, **{k: Fraction(v)
-                                     for k, v in _CASE_SAMPLES[case].items()})
-        rep = classify_form(make_torsion(fam))
+    for case, rep in reports.items():
         want = CASE_TABLE[case]
         got = (rep.strict_type, rep.iso_label, rep.iso_dim)
         rows.append({"case": case, "got": list(got), "expected": list(want),
@@ -366,6 +376,8 @@ def _table4(tol):
 
 
 def _table5():
+    from . import catalog
+
     rows = []
     diffs = []
     for a3, a4, a5, want in _LOCAL_MODEL_SAMPLES:
@@ -421,8 +433,9 @@ def _cmd_tables(args):
     if args.all:
         which = [1, 2, 3, 4, 5, 6]
     payload = {"tables": {}, "diffs": []}
-    builders = {1: _table1, 2: _table2, 3: _table3,
-                4: lambda: _table4(args.tol), 5: _table5,
+    reports = _case_reports() if {1, 2} & set(which) else {}
+    builders = {1: lambda: _table1(reports), 2: lambda: _table2(reports),
+                3: _table3, 4: lambda: _table4(args.tol), 5: _table5,
                 6: lambda: _table6(args.tol)}
     for n in which:
         rows, diffs = builders[n]()

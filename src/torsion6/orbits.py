@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from .forms import (
     contract,
     endo_act_on_form,
     form_of_endo,
-    monomials,
     sort_indices,
     wedge,
 )
@@ -289,113 +289,45 @@ def so3_family(a1, a2, a3) -> Form:
 
 # --- invariant polynomial dimensions ---
 
-def _u3_generators():
-    """Torus generators and the six off-diagonal generators of u(3)."""
-    from .forms import endo_of_form
-    torus = [endo_of_form(_e(1, 2)), endo_of_form(_e(3, 4)), endo_of_form(_e(5, 6))]
-    rest = []
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        p, q = 2 * j - 1, 2 * k - 1
-        rest.append(endo_of_form(_e(p, q) + _e(p + 1, q + 1)))
-        rest.append(endo_of_form(Form(2, {tuple(sorted((p, q + 1))): Fraction(1)})
-                                 - Form(2, {tuple(sorted((p + 1, q))): Fraction(1)})))
-    return torus, rest
+# Torus weights of the complexified 14-dimensional sum of the two
+# divergence-free torsion components.  phi_k = e(2k-1) - i e(2k) and its
+# conjugate phi_-k have weights e_k and -e_k; phi_{+-1} ^ phi_{+-2} ^ phi_{+-3}
+# gives the eight weights (+-1, +-1, +-1), and the six differences
+# phi_j ^ phi_-j ^ phi_{+-k} - phi_l ^ phi_-l ^ phi_{+-k}, {j, l, k} = {1, 2, 3},
+# orthogonal to Omega ^ X, give +-e_k.
+TORUS_WEIGHTS = tuple(
+    [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    + [tuple(s if i == k else 0 for i in range(3)) for k in range(3) for s in (1, -1)])
 
 
-def _weight_basis():
-    """Complex weight vectors spanning the 14-dim complement of {Omega ^ X},
-    as (weight triple, coefficient dict on degree-3 monomials)."""
-    import sympy
-
-    one = sympy.Integer(1)
-    ii = sympy.I
-    # phi_k = e(2k-1) - i e(2k) has weight +1 under the k-th torus rotation
-    phi = {}
-    for k in (1, 2, 3):
-        phi[k] = {(2 * k - 1,): one, (2 * k,): -ii}
-        phi[-k] = {(2 * k - 1,): one, (2 * k,): ii}
-
-    def triple(a, b, c):
-        out = {}
-        for (ia,), ca in phi[a].items():
-            for (ib,), cb in phi[b].items():
-                for (ic,), cc in phi[c].items():
-                    order, sign = sort_indices((ia, ib, ic))
-                    if order is None:
-                        continue
-                    out[order] = out.get(order, 0) + sign * ca * cb * cc
-        return {k2: sympy.simplify(v) for k2, v in out.items()
-                if sympy.simplify(v) != 0}
-
-    vecs = []
-    for s in (1, -1):
-        vecs.append(((s, s, s), triple(s, s * 2, s * 3)))
-    for s in (1, -1):
-        vecs.append(((s, s, -s), triple(s, 2 * s, -3 * s)))
-        vecs.append(((s, -s, s), triple(s, -2 * s, 3 * s)))
-        vecs.append(((-s, s, s), triple(-s, 2 * s, 3 * s)))
-    # differences of phi_k phi_-k pairs, orthogonal to Omega ^ X
-    for s in (1, -1):
-        for j, (p, q) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
-            w = [0, 0, 0]
-            w[j - 1] = s
-            d1 = triple(p, -p, s * j)
-            d2 = triple(q, -q, s * j)
-            diff = {k2: d1.get(k2, 0) - d2.get(k2, 0)
-                    for k2 in set(d1) | set(d2)}
-            vecs.append((tuple(w), diff))
-    return vecs
-
-
-def invariant_poly_dims(max_deg: int, allow_large: bool = False):
-    """Dimensions of rotation-invariant homogeneous polynomials on the
+def invariant_poly_dims(max_deg: int):
+    """Dimensions of U(3)-invariant homogeneous polynomials on the
     14-dimensional sum of the two divergence-free torsion components,
-    one (degree, dim) pair per degree from 1 to max_deg."""
-    import sympy
+    one (degree, dim) pair per degree from 1 to max_deg.
 
-    if max_deg > 4 and not allow_large:
-        raise ValueError("degrees above 4 blow up; pass allow_large=True")
-
-    basis3 = monomials(3)
-    vecs = _weight_basis()
-    nvar = len(vecs)
-    p_mat = sympy.Matrix([[w[1].get(idx, 0) for w in vecs] for idx in basis3])
-    p_inv = (p_mat.T * p_mat).inv() * p_mat.T  # left inverse onto the span
-
-    torus, rest = _u3_generators()
-    coord_action = []
-    for g in rest:
-        amat = sympy.Matrix([[endo_act_on_form(g, Form(3, dict([(idx, Fraction(1))])))
-                              .coeffs.get(jdx, 0) for idx in basis3]
-                             for jdx in basis3])
-        m = p_inv * amat * p_mat  # action on the complex coordinates
-        coord_action.append([[sympy.simplify(m[a, b]) for b in range(nvar)]
-                             for a in range(nvar)])
-
-    weights = [w for w, _ in vecs]
+    U(3) is connected, so by the Weyl character formula, read as a
+    multiplicity formula (Brauer-Klimyk; Fulton-Harris, Representation
+    Theory, 24.2), dim S^d(V)^U(3) = sum over w in S3 of
+    sgn(w) m_d(rho - w rho), rho = (1, 0, -1), where m_d(mu) is the
+    multiplicity of the weight mu in S^d V.  The m_d come from an integer
+    count over the monomials in the 14 weight vectors."""
+    # mult[d][mu]: the number of degree-d monomials of torus weight mu
+    mult = [Counter() for _ in range(max(max_deg, 0) + 1)]
+    mult[0][(0, 0, 0)] = 1
+    for w in TORUS_WEIGHTS:
+        # one more variable of weight w: monomials of degree d are those of
+        # degree d - 1 (already using w) times w, plus those without w
+        for d in range(1, max_deg + 1):
+            for (a, b, c), n in mult[d - 1].items():
+                mult[d][(a + w[0], b + w[1], c + w[2])] += n
+    rho = (1, 0, -1)
     out = []
-    for deg in range(1, max_deg + 1):
-        monos = [m for m in itertools.combinations_with_replacement(range(nvar), deg)
-                 if all(sum(weights[i][c] for i in m) == 0 for c in range(3))]
-        if not monos:
-            out.append((deg, 0))
-            continue
-        rows = []
-        for act in coord_action:
-            images = {}
-            for col, m in enumerate(monos):
-                for pos in range(deg):
-                    tail = m[:pos] + m[pos + 1:]
-                    for b in range(nvar):
-                        c = act[b][m[pos]]
-                        if c == 0:
-                            continue
-                        key = tuple(sorted(tail + (b,)))
-                        images.setdefault(key, [0] * len(monos))
-                        images[key][col] += c
-            rows.extend(images.values())
-        mat = sympy.Matrix(rows)
-        out.append((deg, len(monos) - mat.rank()))
+    for d in range(1, max_deg + 1):
+        dim = 0
+        for perm in itertools.permutations(range(3)):
+            sign = sort_indices(perm)[1]
+            dim += sign * mult[d][tuple(rho[i] - rho[perm[i]] for i in range(3))]
+        out.append((d, dim))
     return out
 
 

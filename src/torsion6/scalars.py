@@ -6,6 +6,11 @@ are accepted as well, so that model constructions involving square roots
 stay exact.  Every routine in this package is written against this small
 common interface instead of a wrapper class.
 
+Sympy is not imported here.  A value is taken for a sympy expression only
+if ``sys.modules`` already holds sympy: a ``sympy.Expr`` cannot exist before
+sympy has been imported, so the test stays exact, and the Fraction and float
+paths never load sympy.  Ints and Fractions are tested first.
+
 The zero test of a sympy expression is exact and certified in three
 stages: a numeric evaluation that can only ever prove a value nonzero,
 then ``sympy.expand``, then ``sympy.simplify``.  No float tolerance decides
@@ -14,14 +19,18 @@ that an exact value is zero.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-
-import sympy
-from sympy.core.evalf import PrecisionExhausted
 
 DEFAULT_TOL = 1e-9
 
-EXACT_TYPES = (int, Fraction, sympy.Expr)
+
+def _sympy_of(x):
+    """The sympy module if x is a sympy expression, otherwise None."""
+    sympy = sys.modules.get("sympy")
+    if sympy is not None and isinstance(x, sympy.Expr):
+        return sympy
+    return None
 
 
 def rat(x) -> Fraction:
@@ -38,7 +47,9 @@ def rat(x) -> Fraction:
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, EXACT_TYPES) and not isinstance(x, bool)
+    if isinstance(x, (int, Fraction)):
+        return not isinstance(x, bool)
+    return _sympy_of(x) is not None
 
 
 def is_zero(x, tol: float | None = None) -> bool:
@@ -51,19 +62,20 @@ def is_zero(x, tol: float | None = None) -> bool:
     told from zero goes on to ``sympy.expand`` and, if that does not reduce
     the expression to 0, to ``sympy.simplify``.
     """
-    if isinstance(x, sympy.Expr):
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    sympy = _sympy_of(x)
+    if sympy is not None:
         if x.is_Number:
             return x == 0
         try:
             v = x.evalf(30, strict=True)
-        except PrecisionExhausted:
+        except sympy.core.evalf.PrecisionExhausted:
             pass
         else:
             if v.is_Number and v != 0:
                 return False
         return sympy.expand(x) == 0 or sympy.simplify(x) == 0
-    if isinstance(x, (int, Fraction)):
-        return x == 0
     if tol is None:
         tol = DEFAULT_TOL
     return abs(x) < tol
@@ -76,27 +88,29 @@ def scalar_eq(a, b, tol: float | None = None) -> bool:
 
 
 def to_float(x) -> float:
-    if isinstance(x, sympy.Expr):
+    if _sympy_of(x) is not None:
         return float(x.evalf())
     return float(x)
 
 
 def simplify(x):
     """Normalize a scalar: sympy expressions are simplified, Fractions reduced."""
-    if isinstance(x, sympy.Expr):
-        y = sympy.nsimplify(sympy.simplify(x))
-        if y.is_Integer:
-            return Fraction(int(y))
-        if y.is_Rational:
-            return Fraction(int(y.p), int(y.q))
-        return y
-    return x
+    sympy = _sympy_of(x)
+    if sympy is None:
+        return x
+    y = sympy.simplify(x)
+    if y.is_Rational:
+        return Fraction(int(y.p), int(y.q))
+    return y
 
 
 def sym_sqrt(x):
     """Exact square root where possible, float square root for floats."""
     if isinstance(x, (int, Fraction)):
+        import sympy
+
         return simplify(sympy.sqrt(sympy.Rational(Fraction(x))))
-    if isinstance(x, sympy.Expr):
+    sympy = _sympy_of(x)
+    if sympy is not None:
         return simplify(sympy.sqrt(x))
     return float(x) ** 0.5

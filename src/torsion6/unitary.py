@@ -9,11 +9,10 @@ fixed subspaces, and isotropy-algebra identification.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
-import sympy
 
 from . import linalg
 from .forms import (
@@ -29,6 +28,7 @@ from .forms import (
     inner,
     monomials,
     norm_sq,
+    sort_indices,
     wedge,
 )
 from .scalars import DEFAULT_TOL, is_exact, is_zero, sym_sqrt
@@ -284,8 +284,6 @@ def torus_fixed_dims(k1: int, k2: int, k3: int) -> tuple[int, int, int]:
 def canonical_torus_tuple(k1: int, k2: int, k3: int) -> tuple[int, int, int]:
     """Canonical representative: zeros trailing, gcd 1, leading entries
     positive and sorted (k1 >= k2 > 0, k2 >= k3 when no entry vanishes)."""
-    import math
-
     ks = [k1, k2, k3]
     if all(k == 0 for k in ks):
         raise ValueError("the zero tuple does not define a torus")
@@ -379,17 +377,6 @@ def trivial_subspace_dim(basis) -> int:
     return len(linalg.intersect_kernels([a.mat for a in basis]))
 
 
-def complex_matrix(a: SkewEndo) -> sympy.Matrix:
-    """The 3x3 complex matrix of an endomorphism commuting with J."""
-    m = sympy.zeros(3, 3)
-    for p in range(3):
-        for q in range(3):
-            re = sympy.Rational(Fraction(a.mat[2 * p][2 * q]))
-            im = sympy.Rational(Fraction(a.mat[2 * p + 1][2 * q]))
-            m[p, q] = re + sympy.I * im
-    return m
-
-
 def identify_algebra(basis) -> AlgebraLabel:
     """Identify a bracket-closed subalgebra of u(3) by its diagnostics."""
     if not basis:
@@ -424,10 +411,75 @@ def identify_algebra(basis) -> AlgebraLabel:
     return AlgebraLabel("unknown", dim, evidence)
 
 
+def _char_poly(z: SkewEndo):
+    """(c1, c2, c3) with x^3 - c1 x^2 + c2 x - c3 the characteristic
+    polynomial of H = -i Z, Z the complex 3x3 matrix of z, or None when a
+    coefficient is not real.  c_k is the sum of the principal k x k minors
+    of H, whose entries are kept as (re, im) pairs."""
+    # Z[p][q] = z[2p][2q] + i z[2p+1][2q], so H[p][q] = z[2p+1][2q] - i z[2p][2q]
+    h = [[(z.mat[2 * p + 1][2 * q], -z.mat[2 * p][2 * q]) for q in range(3)]
+         for p in range(3)]
+    coeffs = []
+    for k in (1, 2, 3):
+        re = im = 0
+        for rows in itertools.combinations(range(3), k):
+            for perm in itertools.permutations(rows):
+                pr, pi = sort_indices(perm)[1], 0
+                for p, q in zip(rows, perm):
+                    hr, hi = h[p][q]
+                    pr, pi = pr * hr - pi * hi, pr * hi + pi * hr
+                re, im = re + pr, im + pi
+        if im != 0:
+            return None
+        coeffs.append(re)
+    return coeffs
+
+
+def _rational_roots(c1, c2, c3):
+    """The roots of x^3 - c1 x^2 + c2 x - c3, sorted and with multiplicity,
+    if all three are rational, otherwise None.
+
+    With lcd the common denominator of the coefficients, y = lcd x turns the
+    polynomial into the monic integer q(y) = y^3 + a y^2 + b y + c, whose
+    rational roots are integers.  One is found by bisection on the pieces
+    where q is monotone, cut at the integer floors of the roots of q'; the
+    other two are the roots of the quotient y^2 + beta y + gamma, integers
+    exactly when its discriminant is a square."""
+    lcd = math.lcm(*(Fraction(x).denominator for x in (c1, c2, c3)))
+    a, b, c = int(-c1 * lcd), int(c2 * lcd ** 2), int(-c3 * lcd ** 3)
+
+    def q(y):
+        return ((y + a) * y + b) * y + c
+
+    # q' = 3y^2 + 2ay + b vanishes at (-a -+ sqrt(d))/3
+    d = a * a - 3 * b
+    r = math.isqrt(max(d, 0))
+    cuts = [(-a - r - (r * r != d)) // 3, (-a + r) // 3] if d > 0 else []
+    bound = 1 + max(abs(a), abs(b), abs(c))
+    for sign, lo, hi in zip((1, -1, 1), [-bound - 1] + cuts, cuts + [bound]):
+        # the first y in (lo, hi] with sign * q(y) >= 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if sign * q(mid) >= 0 else (mid, hi)
+        if q(hi) == 0:
+            break
+    else:
+        return None
+    beta = hi + a
+    gamma = b + hi * beta
+    disc = beta * beta - 4 * gamma
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
+        return None
+    return sorted(Fraction(y, lcd) for y in (hi, (-beta - s) // 2, (-beta + s) // 2))
+
+
 def _u2_tag(basis, evidence) -> str:
-    """u2_k from the weights (w, w, 2kw) of the center on C^3.  Exact centers
-    are diagonalized exactly; float centers with numpy, comparing the weight
-    ratios within DEFAULT_TOL relative to the largest |weight|."""
+    """u2_k from the weights (w, w, 2kw) of the center on C^3, the
+    eigenvalues of H = -i Z.  On an exact center they are the rational roots
+    of the characteristic polynomial, found in integers; float centers are
+    diagonalized with numpy, comparing the weight ratios within DEFAULT_TOL
+    relative to the largest |weight|."""
     center = _kernel_combinations(
         basis, [[x for a in basis for x in a.bracket(b).flat()] for b in basis])
     evidence["center_dim"] = len(center)
@@ -435,17 +487,17 @@ def _u2_tag(basis, evidence) -> str:
         return "unknown"
     z = center[0]
     if all(is_exact(v) for row in z.mat for v in row):
-        evs = []
-        for ev, mult in complex_matrix(z).eigenvals().items():
-            w = sympy.simplify(ev / sympy.I)
-            if not w.is_rational:
-                return "unknown"
-            evs.extend([Fraction(int(w.p), int(w.q))] * mult)
-        evidence["center_weights"] = [str(w) for w in sorted(evs)]
+        coeffs = _char_poly(z)
+        evs = _rational_roots(*coeffs) if coeffs is not None else None
+        if evs is None:
+            return "unknown"
+        evidence["center_weights"] = [str(w) for w in evs]
 
         def near(a, b):
             return a == b
     else:
+        import numpy as np
+
         m = np.array([[z.mat[2 * p][2 * q] + 1j * z.mat[2 * p + 1][2 * q]
                        for q in range(3)] for p in range(3)], dtype=complex)
         evs = sorted((np.linalg.eigvals(m) / 1j).real.tolist())

@@ -102,6 +102,24 @@ def test_t2bundle_second_point():
     assert rep["lambda"] == F(1, 16) + F(4, 9) - F(1, 4)
 
 
+@pytest.mark.parametrize("a3, a4, a5", [(F(5, 9), F(-6), F(5, 3)),
+                                        (F(4, 9), F(-5, 2), F(4, 3))],
+                         ids=["5/9,-6,5/3", "4/9,-5/2,4/3"])
+def test_t2bundle_structure_constants_stay_rational(a3, a4, a5):
+    # the parameters enter sympy as Rationals: [e1, e2] has e7-component
+    # -lambda, not a numerically guessed closed form, and the model passes
+    # its curvature check and the Nomizu round trip
+    rep = catalog.build("s3xs3-t2bundle", a3=a3, a4=a4, a5=a5)
+    assert rep["mismatches"] == []
+    lam = a3 * a3 + a4 * a4 - a5 * a5
+    assert rep["model"].algebra.c[(1, 2, 7)] == -lam
+    fp = algebra_fingerprint(nomizu(rep["torsion"], rep["curvature"]))
+    assert (fp["dim"], fp["derived"], fp["center"], fp["killing"]) == \
+        (7, (6, 6), 1, (0, 6))
+    if (a3, a4, a5) == (F(5, 9), F(-6), F(5, 3)):
+        assert -lam == F(-2716, 81)
+
+
 def test_t2bundle_validity():
     with pytest.raises(ValueError, match="alpha3 \\+ alpha5 > 0"):
         catalog.build("s3xs3-t2bundle", a3=-2, a4=1, a5=1)

@@ -1,0 +1,55 @@
+"""sympy and numpy load on first use: exact classification, Betti numbers
+and invariant dimensions run without them.  Each check runs in a fresh
+interpreter, because the test process itself has imported both."""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          capture_output=True, check=True, timeout=120)
+
+
+def test_exact_paths_import_neither_sympy_nor_numpy():
+    code = """
+import sys
+from fractions import Fraction
+import torsion6
+from torsion6.cli import _CASE_SAMPLES
+for case, kwargs in _CASE_SAMPLES.items():
+    fam = torsion6.TorsionFamily(case, **{k: Fraction(v) for k, v in kwargs.items()})
+    assert torsion6.classify_form(torsion6.make_torsion(fam)).case == case
+s = torsion6.StructureEquations.from_shorthand("(0,0,0,0,12,13)")
+assert torsion6.betti_vector(s) == (1, 4, 9, 12, 9, 4, 1)
+assert torsion6.invariant_poly_dims(4) == [(1, 0), (2, 2), (3, 0), (4, 6)]
+print(sorted(m for m in ("sympy", "numpy") if m in sys.modules))
+"""
+    assert _python("-c", code).stdout.split() == ["[]"]
+
+
+def test_every_exported_name_resolves_after_a_bare_import():
+    code = """
+import torsion6
+for name in torsion6.__all__:
+    getattr(torsion6, name)
+print(torsion6.catalog.build("s3xt3-t2", s=1)["mismatches"])
+"""
+    assert _python("-c", code).stdout.split() == ["[]"]
+
+
+def test_cli_betti_child_does_not_import_sympy():
+    out = _python("-X", "importtime", "-m", "torsion6.cli", "betti",
+                  "--shorthand=(0,0,0,0,12,13)", "--json")
+    assert '"betti"' in out.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in out.stderr.splitlines() if "|" in line]
+    assert "torsion6.nil" in imported
+    assert not any(m == "sympy" or m.startswith("sympy.") for m in imported)

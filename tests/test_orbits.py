@@ -1,11 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from torsion6.forms import Form, OMEGA, contract, monomials, norm_sq, wedge
+from torsion6.forms import (
+    Form,
+    OMEGA,
+    contract,
+    endo_act_on_form,
+    endo_of_form,
+    monomials,
+    norm_sq,
+    sort_indices,
+    wedge,
+)
 from torsion6.orbits import (
+    TORUS_WEIGHTS,
     TorsionFamily,
     bianchi_feasible,
     classify_form,
@@ -22,7 +34,13 @@ from torsion6.orbits import (
     invariant_poly_dims,
     w1w3_family,
 )
-from torsion6.unitary import isotropy_algebra, project_l3
+from torsion6.unitary import (
+    _kernel_combinations,
+    _u2_tag,
+    isotropy_algebra,
+    project_l3,
+    torus_generator,
+)
 
 
 def e(*idx):
@@ -225,8 +243,132 @@ def test_invariant_poly_dims():
     dims = invariant_poly_dims(4)
     assert dims == [(1, 0), (2, 2), (3, 0), (4, 6)]
     assert sum(d for _, d in dims) == 8
-    with pytest.raises(ValueError):
-        invariant_poly_dims(5)
+    assert invariant_poly_dims(8)[4:] == [(5, 0), (6, 11), (7, 0), (8, 21)]
+    assert invariant_poly_dims(0) == []
+
+
+# --- the sympy construction of the invariant dimensions, kept as an oracle ---
+
+def _u3_generators():
+    """Torus generators and the six off-diagonal generators of u(3)."""
+    torus = [endo_of_form(e(1, 2)), endo_of_form(e(3, 4)), endo_of_form(e(5, 6))]
+    rest = []
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        p, q = 2 * j - 1, 2 * k - 1
+        rest.append(endo_of_form(e(p, q) + e(p + 1, q + 1)))
+        rest.append(endo_of_form(Form(2, {tuple(sorted((p, q + 1))): Fraction(1)})
+                                 - Form(2, {tuple(sorted((p + 1, q))): Fraction(1)})))
+    return torus, rest
+
+
+def _weight_basis():
+    """Complex weight vectors spanning the 14-dim complement of {Omega ^ X},
+    as (weight triple, coefficient dict on degree-3 monomials)."""
+    one = sp.Integer(1)
+    ii = sp.I
+    # phi_k = e(2k-1) - i e(2k) has weight +1 under the k-th torus rotation
+    phi = {}
+    for k in (1, 2, 3):
+        phi[k] = {(2 * k - 1,): one, (2 * k,): -ii}
+        phi[-k] = {(2 * k - 1,): one, (2 * k,): ii}
+
+    def triple(a, b, c):
+        out = {}
+        for (ia,), ca in phi[a].items():
+            for (ib,), cb in phi[b].items():
+                for (ic,), cc in phi[c].items():
+                    order, sign = sort_indices((ia, ib, ic))
+                    if order is None:
+                        continue
+                    out[order] = out.get(order, 0) + sign * ca * cb * cc
+        return {k2: sp.simplify(v) for k2, v in out.items()
+                if sp.simplify(v) != 0}
+
+    vecs = []
+    for s in (1, -1):
+        vecs.append(((s, s, s), triple(s, s * 2, s * 3)))
+    for s in (1, -1):
+        vecs.append(((s, s, -s), triple(s, 2 * s, -3 * s)))
+        vecs.append(((s, -s, s), triple(s, -2 * s, 3 * s)))
+        vecs.append(((-s, s, s), triple(-s, 2 * s, 3 * s)))
+    # differences of phi_k phi_-k pairs, orthogonal to Omega ^ X
+    for s in (1, -1):
+        for j, (p, q) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
+            w = [0, 0, 0]
+            w[j - 1] = s
+            d1 = triple(p, -p, s * j)
+            d2 = triple(q, -q, s * j)
+            diff = {k2: d1.get(k2, 0) - d2.get(k2, 0)
+                    for k2 in set(d1) | set(d2)}
+            vecs.append((tuple(w), diff))
+    return vecs
+
+
+def sympy_invariant_poly_dims(max_deg):
+    """The rank of the u(3) action on the weight-zero monomials in the
+    complex coordinates of the weight vectors, computed with sympy."""
+    basis3 = monomials(3)
+    vecs = _weight_basis()
+    nvar = len(vecs)
+    p_mat = sp.Matrix([[w[1].get(idx, 0) for w in vecs] for idx in basis3])
+    p_inv = (p_mat.T * p_mat).inv() * p_mat.T  # left inverse onto the span
+
+    _, rest = _u3_generators()
+    coord_action = []
+    for g in rest:
+        amat = sp.Matrix([[endo_act_on_form(g, Form(3, dict([(idx, Fraction(1))])))
+                           .coeffs.get(jdx, 0) for idx in basis3]
+                          for jdx in basis3])
+        m = p_inv * amat * p_mat  # action on the complex coordinates
+        coord_action.append([[sp.simplify(m[a, b]) for b in range(nvar)]
+                             for a in range(nvar)])
+
+    weights = [w for w, _ in vecs]
+    out = []
+    for deg in range(1, max_deg + 1):
+        monos = [m for m in itertools.combinations_with_replacement(range(nvar), deg)
+                 if all(sum(weights[i][c] for i in m) == 0 for c in range(3))]
+        if not monos:
+            out.append((deg, 0))
+            continue
+        rows = []
+        for act in coord_action:
+            images = {}
+            for col, m in enumerate(monos):
+                for pos in range(deg):
+                    tail = m[:pos] + m[pos + 1:]
+                    for b in range(nvar):
+                        c = act[b][m[pos]]
+                        if c == 0:
+                            continue
+                        key = tuple(sorted(tail + (b,)))
+                        images.setdefault(key, [0] * len(monos))
+                        images[key][col] += c
+            rows.extend(images.values())
+        out.append((deg, len(monos) - sp.Matrix(rows).rank()))
+    return out
+
+
+def test_invariant_poly_dims_match_sympy_rank_oracle():
+    assert invariant_poly_dims(4) == sympy_invariant_poly_dims(4)
+
+
+def test_weight_vectors_are_torus_eigenvectors():
+    # T_k v = i w_k v for the k-th torus generator T_k = e(2k-1, 2k), on
+    # real and imaginary parts: T_k Re v = -w_k Im v, T_k Im v = w_k Re v
+    torus, _ = _u3_generators()
+    vecs = _weight_basis()
+    assert sorted(w for w, _ in vecs) == sorted(TORUS_WEIGHTS)
+    for weight, coeffs in vecs:
+        assert coeffs
+        parts = [Form(3, {idx: Fraction(str(f(c))) for idx, c in coeffs.items()})
+                 for f in (sp.re, sp.im)]
+        re, im = parts
+        for part in parts:
+            assert project_l3(part).t6.is_zero()
+        for gen, w in zip(torus, weight):
+            assert endo_act_on_form(gen, re) == -w * im
+            assert endo_act_on_form(gen, im) == w * re
 
 
 def test_classify_round_trip():
@@ -333,3 +475,53 @@ def test_float_rotated_u2_cases_keep_label():
             got = classify_form(rotate(t, cayley_u3(rng)).to_float(), 1e-9)
             assert (got.iso_label, got.iso_dim, got.case) == \
                 (exact.iso_label, exact.iso_dim, case)
+
+
+# --- the sympy eigenvalue tag of u(2) centers, kept as an oracle ---
+
+def sympy_u2_tag(basis):
+    """(label, evidence) of the exact center of span(basis), diagonalized
+    by sympy."""
+    evidence = {}
+    center = _kernel_combinations(
+        basis, [[x for a in basis for x in a.bracket(b).flat()] for b in basis])
+    evidence["center_dim"] = len(center)
+    if len(center) != 1:
+        return "unknown", evidence
+    z = center[0]
+    m = sp.Matrix(3, 3, lambda p, q: sp.Rational(z.mat[2 * p][2 * q])
+                  + sp.I * sp.Rational(z.mat[2 * p + 1][2 * q]))
+    evs = []
+    for ev, mult in m.eigenvals().items():
+        w = sp.simplify(ev / sp.I)
+        if not w.is_rational:
+            return "unknown", evidence
+        evs.extend([Fraction(int(w.p), int(w.q))] * mult)
+    evs.sort()
+    evidence["center_weights"] = [str(w) for w in evs]
+    for i, j, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        if evs[i] == evs[j] and evs[i] != 0:
+            k = evs[r] / (2 * evs[i])
+            if k in (-1, 0, 1):
+                evidence["u2_k"] = int(k)
+                return f"u2_{k}", evidence
+    return "unknown", evidence
+
+
+def test_u2_tag_matches_sympy_eigenvalue_oracle():
+    rng = random.Random(24)
+    bases = []
+    for case in ("I", "VIII"):
+        t = make_torsion(sample_family(case, rng))
+        bases.append(isotropy_algebra(t))
+        bases += [isotropy_algebra(rotate(t, cayley_u3(rng))) for _ in range(2)]
+    # centers with three distinct weights, rational and irrational
+    bases.append([torus_generator(1, 2, 3)])
+    bases.append([torus_generator(1, 2, 3) + endo_of_form(e(1, 3) + e(2, 4))])
+    labels = []
+    for basis in bases:
+        evidence = {}
+        label = _u2_tag(basis, evidence)
+        assert (label, evidence) == sympy_u2_tag(basis)
+        labels.append(label)
+    assert labels == ["u2_0"] * 3 + ["u2_1"] * 3 + ["unknown"] * 2
