@@ -14,6 +14,7 @@ from .forms import (
     SkewEndo,
     VOL,
     contract,
+    d_parallel,
     endo_act_on_form,
     endo_of_form,
     form_of_endo,
@@ -23,6 +24,7 @@ from .forms import (
     monomials,
     norm_sq,
     parse_form,
+    sigma,
     wedge,
 )
 
@@ -39,11 +41,9 @@ from .orbits import (
     TorsionFamily,
     bianchi_feasible,
     classify_form,
-    d_parallel,
     invariant_poly_dims,
     lie_group_criterion,
     make_torsion,
-    sigma,
 )
 from .liegeom import (
     CurvatureRecord,

@@ -18,6 +18,7 @@ from .forms import (
     Form,
     OMEGA,
     SkewEndo,
+    d_parallel,
     endo_of_form,
     form_of_endo,
     hodge,
@@ -43,7 +44,6 @@ from .nil import (
     structure_tag,
     verify_parallel,
 )
-from .orbits import d_parallel
 from .scalars import is_zero, rat, simplify
 from .unitary import project_l3
 

@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .forms import Form, endo_of_form, form_of_endo, format_form, parse_form
+from .forms import Form, endo_of_form, form_of_endo, format_form, parse_form, sigma
 from .nil import StructureEquations, betti_vector, nil_torsion, structure_tag
 from .orbits import (
     CASE_TABLE,
@@ -22,7 +22,6 @@ from .orbits import (
     invariant_poly_dims,
     lie_group_criterion,
     make_torsion,
-    sigma,
 )
 from .scalars import to_float
 from .unitary import (

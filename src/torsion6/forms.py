@@ -1,6 +1,10 @@
 """Exterior algebra over oriented euclidean R^6 and the 2-form/endomorphism
 dictionary.
 
+The contraction sum sum_i (e_i .J a) ^ (e_i .J b) is `d_parallel`, the
+differential of a form parallel for a connection with skew torsion; sigma
+and tau are built on it.
+
 Forms are stored as sparse maps from strictly increasing index tuples
 (1-based, indices 1..6) to scalar coefficients.  Increasing-index monomials
 are orthonormal in every degree; the orientation is the one in which
@@ -83,11 +87,11 @@ class Form:
     def is_zero(self, tol: float | None = None) -> bool:
         return all(is_zero(c, tol) for c in self.coeffs.values())
 
-    def equals(self, other: "Form", tol: float | None = None) -> bool:
+    def equals(self, other: "Form") -> bool:
         if self.degree != other.degree:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(scalar_eq(self.coeff(k), other.coeff(k), tol) for k in keys)
+        return all(scalar_eq(self.coeff(k), other.coeff(k)) for k in keys)
 
     def __eq__(self, other):
         return isinstance(other, Form) and self.equals(other)
@@ -208,6 +212,29 @@ def norm_sq(a: Form):
     return inner(a, a)
 
 
+def d_parallel(a: Form, t: Form) -> Form:
+    """Exterior differential of a form that is parallel for the connection
+    with skew torsion T: d a = sum_i (e_i .J a) ^ (e_i .J T)."""
+    if t.degree != 3:
+        raise ValueError("torsion argument must be a 3-form")
+    if a.degree == 0:
+        return Form(1)
+    if a.degree >= DIM:
+        return Form(DIM)
+    out = Form(a.degree + 1)
+    for i in range(1, DIM + 1):
+        ei = Form.monomial((i,), Fraction(1))
+        out = out + wedge(contract(ei, a), contract(ei, t))
+    return out
+
+
+def sigma(t: Form) -> Form:
+    """sigma(T) = 1/2 sum_i (e_i .J T) ^ (e_i .J T)."""
+    if t.degree != 3:
+        raise ValueError("sigma needs a 3-form")
+    return Fraction(1, 2) * d_parallel(t, t)
+
+
 class SkewEndo:
     """A skew-symmetric endomorphism of R^6 (element of so(6))."""
 
@@ -258,11 +285,11 @@ class SkewEndo:
         return SkewEndo([[ab[i][j] - ba[i][j] for j in range(DIM)]
                          for i in range(DIM)], check=False)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        return all(is_zero(x, tol) for row in self.mat for x in row)
+    def is_zero(self) -> bool:
+        return all(is_zero(x) for row in self.mat for x in row)
 
-    def equals(self, other: "SkewEndo", tol: float | None = None) -> bool:
-        return all(scalar_eq(a, b, tol)
+    def equals(self, other: "SkewEndo") -> bool:
+        return all(scalar_eq(a, b)
                    for ra, rb in zip(self.mat, other.mat) for a, b in zip(ra, rb))
 
     def flat(self):

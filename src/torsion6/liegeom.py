@@ -21,6 +21,8 @@ from .forms import (
     endo_of_form,
     evaluate,
     monomials,
+    norm_sq,
+    sigma,
     sort_indices,
 )
 from .scalars import DEFAULT_TOL, is_zero, to_float
@@ -195,9 +197,9 @@ class CurvatureRecord:
         return CurvatureRecord([[c * v for v in row] for row in self.mat],
                                self.basis)
 
-    def equals(self, other, tol=None):
+    def equals(self, other):
         n = len(MON2)
-        return all(is_zero(self.mat[a][b] - other.mat[a][b], tol)
+        return all(is_zero(self.mat[a][b] - other.mat[a][b])
                    for a in range(n) for b in range(n))
 
     def to_json(self):
@@ -230,8 +232,6 @@ def curvature_from_pairs(values, basis=None) -> CurvatureRecord:
 def projector_record(forms_basis) -> CurvatureRecord:
     """R = sum_a w_a (x) w_a for an orthogonal basis, normalized so that the
     record acts as the identity on the spanned subalgebra."""
-    from .forms import inner, norm_sq
-
     n = len(MON2)
     mat = [[Fraction(0)] * n for _ in range(n)]
     for w in forms_basis:
@@ -264,9 +264,6 @@ class ReductiveModel:
 
     def _m_part(self, vec):
         return [vec[i - 1] for i in self.m_idx]
-
-    def _h_part(self, vec):
-        return [vec[i - 1] for i in self.h_idx]
 
     def bracket_m(self, a, b):
         """Bracket of the a-th and b-th frame vectors (1-based in m)."""
@@ -488,14 +485,14 @@ def ricci(rec: CurvatureRecord, g=None):
     return out
 
 
-def is_einstein(ric, g=None, tol=None):
+def is_einstein(ric, g=None):
     """Whether Ric = c g; returns (bool, c or None)."""
     if g is None:
         g = linalg.identity(DIM)
     c = sum(ric[i][i] for i in range(DIM)) / sum(g[i][i] for i in range(DIM))
     for i in range(DIM):
         for j in range(DIM):
-            if not is_zero(ric[i][j] - c * g[i][j], tol):
+            if not is_zero(ric[i][j] - c * g[i][j]):
                 return False, None
     return True, c
 
@@ -504,8 +501,6 @@ def curvature_gap(t: Form) -> CurvatureRecord:
     """The difference between the curvatures of the characteristic and the
     Levi-Civita connection when the torsion is parallel:
     1/4 <T(X,Y), T(Z,U)> + 1/4 sigma_T(X,Y,Z,U)."""
-    from .orbits import sigma
-
     sig = sigma(t)
     n = len(MON2)
     mat = [[Fraction(0)] * n for _ in range(n)]

@@ -37,9 +37,9 @@ def _copy(a):
     return [list(row) for row in a]
 
 
-def _pivot_in_column(mat, col, start, tol):
+def _pivot_in_column(mat, col, start):
     """Row index of the pivot in `col` at/below `start`, or None."""
-    exact_rows = [r for r in range(start, len(mat)) if not is_zero(mat[r][col], tol)]
+    exact_rows = [r for r in range(start, len(mat)) if not is_zero(mat[r][col])]
     if not exact_rows:
         return None
     if all(is_exact(mat[r][col]) for r in exact_rows):
@@ -47,7 +47,7 @@ def _pivot_in_column(mat, col, start, tol):
     return max(exact_rows, key=lambda r: abs(to_float(mat[r][col])))
 
 
-def rref(mat, tol: float | None = None):
+def rref(mat):
     """Reduced row echelon form (copy) plus the list of pivot columns."""
     a = _copy(mat)
     if not a or not a[0]:
@@ -58,14 +58,14 @@ def rref(mat, tol: float | None = None):
     for col in range(ncols):
         if row >= nrows:
             break
-        piv = _pivot_in_column(a, col, row, tol)
+        piv = _pivot_in_column(a, col, row)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
         p = a[row][col]
         a[row] = [x / p for x in a[row]]
         for r in range(nrows):
-            if r != row and not is_zero(a[r][col], tol):
+            if r != row and not is_zero(a[r][col]):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
         pivots.append(col)
@@ -73,16 +73,16 @@ def rref(mat, tol: float | None = None):
     return a, pivots
 
 
-def rank(mat, tol: float | None = None) -> int:
-    return len(rref(mat, tol)[1])
+def rank(mat) -> int:
+    return len(rref(mat)[1])
 
 
-def nullspace(mat, tol: float | None = None):
+def nullspace(mat):
     """Basis of the right kernel, as a list of vectors."""
     if not mat:
         return []
     ncols = len(mat[0])
-    red, pivots = rref(mat, tol)
+    red, pivots = rref(mat)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -94,13 +94,13 @@ def nullspace(mat, tol: float | None = None):
     return basis
 
 
-def solve(mat, rhs, tol: float | None = None):
+def solve(mat, rhs):
     """One solution of mat @ x = rhs, or None if inconsistent."""
     if not mat:
-        return [] if all(is_zero(b, tol) for b in rhs) else None
+        return [] if all(is_zero(b) for b in rhs) else None
     ncols = len(mat[0])
     aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug, tol)
+    red, pivots = rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -109,19 +109,19 @@ def solve(mat, rhs, tol: float | None = None):
     return x
 
 
-def column_space_coords(basis_cols, vec, tol: float | None = None):
+def column_space_coords(basis_cols, vec):
     """Coordinates of `vec` in the span of `basis_cols`, or None."""
     if not basis_cols:
-        return [] if all(is_zero(b, tol) for b in vec) else None
+        return [] if all(is_zero(b) for b in vec) else None
     mat = transpose(basis_cols)
-    return solve(mat, vec, tol)
+    return solve(mat, vec)
 
 
-def intersect_kernels(mats, tol: float | None = None):
+def intersect_kernels(mats):
     """Basis of the common kernel of a list of matrices."""
     stacked = []
     for m in mats:
         stacked.extend(m)
     if not stacked:
         raise ValueError("need at least one matrix")
-    return nullspace(stacked, tol)
+    return nullspace(stacked)

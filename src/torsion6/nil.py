@@ -22,6 +22,7 @@ from .forms import (
     hodge,
     monomials,
     parse_form,
+    sigma,
     wedge,
 )
 from .liegeom import (
@@ -29,7 +30,7 @@ from .liegeom import (
     characteristic_connection,
     covariant_derivative_form,
 )
-from .orbits import sigma
+from .orbits import first_family_form
 from .scalars import is_zero
 from .unitary import project_l3
 
@@ -168,12 +169,9 @@ def nil_family_case(a3, a4, a5):
 
 
 def nil_torsion(a3, a4, a5) -> Form:
-    """Closed form of the torsion of the nil family."""
-    e12 = Form.monomial((1, 2))
-    e34 = Form.monomial((3, 4))
-    e5 = Form.monomial((5,))
-    e6 = Form.monomial((6,))
-    return wedge(e12 - e34, a3 * e5 + a4 * e6) + a5 * wedge(e12 + e34, e5)
+    """Closed form of the torsion of the nil family: the first-family normal
+    form with a1 = 0."""
+    return first_family_form(0, a3, a4, a5)
 
 
 def ce_betti(s: StructureEquations, k: int) -> int:

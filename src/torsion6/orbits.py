@@ -1,9 +1,9 @@
 """Normal forms of singular torsion orbits and their realizability tests.
 
-The two normal-form families (cases I-VI and VII-XI), the quadratic 4-form
-sigma, the differential of a parallel form, the codifferential gap, vector
-pair reduction under SO(3), the scalar-square criterion for Lie groups, and
-a first-Bianchi feasibility filter for candidate curvature operators.
+The two normal-form families (cases I-VI and VII-XI), the codifferential
+gap, vector pair reduction under SO(3), the scalar-square criterion for Lie
+groups, and a first-Bianchi feasibility filter for candidate curvature
+operators.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .forms import (
     contract,
     endo_act_on_form,
     form_of_endo,
+    sigma,
     sort_indices,
     wedge,
 )
@@ -59,10 +60,10 @@ def second_family_form(a1, a2, b1, b2) -> Form:
     return t + b2 * (wedge(_e(1, 3) - _e(2, 4), _e(5)) + wedge(_e(1, 4) + _e(2, 3), _e(6)))
 
 
-def _pos(x, tol=None) -> bool:
+def _pos(x) -> bool:
     if is_exact(x):
         return x > 0
-    return to_float(x) > (tol if tol is not None else DEFAULT_TOL)
+    return to_float(x) > DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -140,36 +141,6 @@ def make_torsion(f: TorsionFamily) -> Form:
     return second_family_form(f.a1, f.a2, f.b1, f.b2)
 
 
-def sigma(t: Form) -> Form:
-    """sigma(T) = 1/2 sum_i (e_i .J T) ^ (e_i .J T)."""
-    if t.degree != 3:
-        raise ValueError("sigma needs a 3-form")
-    out = Form(4)
-    for i in range(DIM):
-        v = [Fraction(0)] * DIM
-        v[i] = Fraction(1)
-        c = contract(v, t)
-        out = out + wedge(c, c)
-    return Fraction(1, 2) * out
-
-
-def d_parallel(a: Form, t: Form) -> Form:
-    """Exterior differential of a form that is parallel for the connection
-    with skew torsion T: d a = sum_i (e_i .J a) ^ (e_i .J T)."""
-    if t.degree != 3:
-        raise ValueError("torsion argument must be a 3-form")
-    if a.degree == 0:
-        return Form(1)
-    if a.degree >= DIM:
-        return Form(DIM)
-    out = Form(a.degree + 1)
-    for i in range(DIM):
-        v = [Fraction(0)] * DIM
-        v[i] = Fraction(1)
-        out = out + wedge(contract(v, a), contract(v, t))
-    return out
-
-
 def codiff_gap(t: Form, w: Form) -> Form:
     """Difference of the metric and torsion codifferentials on w:
     1/2 sum_{i,j} (e_ij .J T) ^ (e_ij .J w)."""
@@ -177,14 +148,14 @@ def codiff_gap(t: Form, w: Form) -> Form:
         raise ValueError("codifferential gap needs degree >= 2")
     deg = (t.degree - 2) + (w.degree - 2)
     out = Form(deg)
-    for i in range(DIM):
-        for j in range(DIM):
+    for i in range(1, DIM + 1):
+        ei = Form.monomial((i,), Fraction(1))
+        for j in range(1, DIM + 1):
             if i == j:
                 continue
-            vi = [Fraction(1 if k == i else 0) for k in range(DIM)]
-            vj = [Fraction(1 if k == j else 0) for k in range(DIM)]
-            ct = contract(vj, contract(vi, t))
-            cw = contract(vj, contract(vi, w))
+            ej = Form.monomial((j,), Fraction(1))
+            ct = contract(ej, contract(ei, t))
+            cw = contract(ej, contract(ei, w))
             out = out + wedge(ct, cw)
     return Fraction(1, 2) * out
 
@@ -261,8 +232,7 @@ def w1w3_family(a1, a2, b1, b2, a3, a4) -> Form:
     """Six-parameter candidate family for divergence-free forms with both
     small components, before the Bianchi reduction (which forces a1 = b1
     once the frame is rotated to a2 = b2 = 0)."""
-    t2 = a1 * (wedge(_e(1, 4) + _e(2, 3), _e(5)) + wedge(_e(1, 3) - _e(2, 4), _e(6)))
-    t2 = t2 + a2 * (wedge(-_e(1, 3) + _e(2, 4), _e(5)) + wedge(_e(1, 4) + _e(2, 3), _e(6)))
+    t2 = second_family_form(a1, a2, 0, 0)
     t12 = b1 * (wedge(_e(1, 4) + _e(2, 3), _e(5)) - wedge(_e(1, 3) - _e(2, 4), _e(6)))
     t12 = t12 + b2 * (wedge(-_e(1, 3) + _e(2, 4), _e(5)) - wedge(_e(1, 4) + _e(2, 3), _e(6)))
     t12 = t12 + wedge(_e(1, 2) - _e(3, 4), a3 * _e(5) + a4 * _e(6))

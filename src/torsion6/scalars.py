@@ -19,6 +19,7 @@ that an exact value is zero.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -81,10 +82,10 @@ def is_zero(x, tol: float | None = None) -> bool:
     return abs(x) < tol
 
 
-def scalar_eq(a, b, tol: float | None = None) -> bool:
+def scalar_eq(a, b) -> bool:
     if is_exact(a) and is_exact(b):
         return is_zero(a - b)
-    return abs(to_float(a) - to_float(b)) < (DEFAULT_TOL if tol is None else tol)
+    return abs(to_float(a) - to_float(b)) < DEFAULT_TOL
 
 
 def to_float(x) -> float:
@@ -105,8 +106,15 @@ def simplify(x):
 
 
 def sym_sqrt(x):
-    """Exact square root where possible, float square root for floats."""
+    """Exact square root where possible, float square root for floats.
+
+    The root of a rational square is a Fraction, found without sympy."""
     if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        if x >= 0:
+            p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
+            if p * p == x.numerator and q * q == x.denominator:
+                return Fraction(p, q)
         import sympy
 
         return simplify(sympy.sqrt(sympy.Rational(Fraction(x))))

@@ -1,9 +1,10 @@
 """The standard hermitian model (R^6, g, J, Omega).
 
-Splitting of so(6) into u(3) and its complement, the tau operator with its
-spectral projectors on 3-forms, the theta map into R^6 x m6, typing of a
-torsion form, the U(2)-splitting of the two small 3-form modules, torus
-fixed subspaces, and isotropy-algebra identification.
+Splitting of so(6) into u(3) and its complement, the splitting of 3-forms
+into the U(3) modules Lambda^3_2 + Lambda^3_12 + Lambda^3_6 by the
+derivation action of J, the tau operator, the theta map into R^6 x m6,
+typing of a torsion form, the U(2)-splitting of the two small 3-form
+modules, torus fixed subspaces, and isotropy-algebra identification.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .forms import (
     OMEGA,
     SkewEndo,
     contract,
+    d_parallel,
     endo_act_on_form,
     endo_of_form,
     form_of_endo,
@@ -51,25 +53,19 @@ def split_so6(a: SkewEndo) -> tuple[SkewEndo, SkewEndo, SkewEndo, SkewEndo]:
     return u3, m6, su3, r1
 
 
-def _tau_raw(t: Form, omega: Form) -> Form:
-    out = Form(3)
-    for i in range(1, DIM + 1):
-        v = [Fraction(0)] * DIM
-        v[i - 1] = Fraction(1)
-        out = out + wedge(contract(v, omega), contract(v, t))
-    return out
+def _project_omega_wedge(t: Form, omega: Form):
+    """Orthogonal projection onto {omega ^ X : X a vector}, as (X, omega ^ X).
 
-
-def _project_omega_wedge(t: Form, omega: Form) -> Form:
-    """Orthogonal projection onto {omega ^ X : X a vector}.
-
-    The forms omega ^ e_i are pairwise orthogonal of norm^2 = 2.
+    The forms omega ^ e_i are pairwise orthogonal of norm^2 = 2 for any
+    hermitian omega.
     """
-    out = Form(3)
+    x, out = [], Form(3)
     for i in range(1, DIM + 1):
         w = wedge(omega, Form.monomial((i,)))
-        out = out + (inner(t, w) / Fraction(2)) * w
-    return out
+        c = inner(t, w) / Fraction(2)
+        x.append(c)
+        out = out + c * w
+    return x, out
 
 
 def tau(t: Form, omega: Form = OMEGA) -> Form:
@@ -82,8 +78,8 @@ def tau(t: Form, omega: Form = OMEGA) -> Form:
     """
     if t.degree != 3:
         raise ValueError("tau is defined on 3-forms")
-    p6 = _project_omega_wedge(t, omega)
-    return _tau_raw(t - p6, omega) + p6
+    _, p6 = _project_omega_wedge(t, omega)
+    return d_parallel(omega, t - p6) + p6
 
 
 @dataclass
@@ -115,26 +111,19 @@ class TorsionComponents:
 
 
 def project_l3(t: Form, omega: Form = OMEGA) -> TorsionComponents:
-    """Split a 3-form into the tau^2-eigencomponents (-9, -1, +1).
+    """Split a 3-form into its parts in Lambda^3_2, Lambda^3_12 and Lambda^3_6.
 
-    Projector coefficients come from Lagrange interpolation on the three
-    eigenvalues: p2 = (s^2-1)/80, p12 = -(s+9)(s-1)/16, p6 = (s+9)(s+1)/20
-    with s = tau^2.
+    J, the endomorphism of omega acting as a derivation, squares to -9 on
+    Lambda^3_2, the (3,0) + (0,3) part, and to -1 on the rest, so
+    t2 = -(J.J.t + t)/8.  t6 = omega ^ x is the orthogonal projection onto
+    {omega ^ X}, and t12 is what remains.
     """
     if t.degree != 3:
         raise ValueError("project_l3 needs a 3-form")
-    s = tau(tau(t, omega), omega)
-    s2 = tau(tau(s, omega), omega)
-    t2 = Fraction(1, 80) * (s2 - t)
-    t12 = Fraction(-1, 16) * (s2 + 8 * s - 9 * t)
-    t6 = Fraction(1, 20) * (s2 + 10 * s + 9 * t)
-    # invert X -> omega ^ X on the image; the images omega ^ e_i are
-    # orthogonal of norm^2 = 2 for any hermitian omega
-    x = []
-    for i in range(1, DIM + 1):
-        ei = Form.monomial((i,))
-        x.append(inner(t6, wedge(omega, ei)) / Fraction(2))
-    return TorsionComponents(t2, t12, t6, x)
+    j = endo_of_form(omega)
+    t2 = Fraction(-1, 8) * (endo_act_on_form(j, endo_act_on_form(j, t)) + t)
+    x, t6 = _project_omega_wedge(t, omega)
+    return TorsionComponents(t2, t - t2 - t6, t6, x)
 
 
 @dataclass
@@ -151,9 +140,7 @@ def theta(t: Form) -> IntrinsicTorsion:
         raise ValueError("theta needs a 3-form")
     gamma = []
     for i in range(1, DIM + 1):
-        v = [Fraction(0)] * DIM
-        v[i - 1] = Fraction(1)
-        a = endo_of_form(contract(v, t))
+        a = endo_of_form(contract(Form.monomial((i,), Fraction(1)), t))
         _, m6, _, _ = split_so6(a)
         gamma.append(Fraction(-1, 2) * m6)
     return IntrinsicTorsion(gamma)
@@ -378,9 +365,15 @@ def trivial_subspace_dim(basis) -> int:
 
 
 def identify_algebra(basis) -> AlgebraLabel:
-    """Identify a bracket-closed subalgebra of u(3) by its diagnostics."""
+    """Identify a bracket-closed subalgebra of u(3) by its diagnostics.
+
+    A float basis element is first scaled to a largest |entry| of 1, so
+    that the absolute tolerance of the zero test meets brackets of unit
+    size; exact bases are used as they are."""
     if not basis:
         return AlgebraLabel("trivial", 0)
+    basis = [b if all(is_exact(v) for v in b.flat())
+             else b * (1 / max(abs(v) for v in b.flat())) for b in basis]
     span = [b.flat() for b in basis]
     dim = linalg.rank(span)
     brackets = [basis[i].bracket(basis[j])

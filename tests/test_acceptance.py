@@ -12,7 +12,8 @@ import sympy as sp
 from torsion6 import catalog, linalg
 from torsion6.clifford import is_scalar_square, parallel_spinors, \
     torsion_spinor_spectrum
-from torsion6.forms import Form, endo_of_form, monomials, norm_sq
+from torsion6.forms import Form, d_parallel, endo_of_form, monomials, \
+    norm_sq, sigma
 from torsion6.liegeom import algebra_fingerprint, jacobi_check, nomizu, \
     LieAlgebraData
 from torsion6.nil import nil_family, nil_torsion, nijenhuis
@@ -20,12 +21,10 @@ from torsion6.orbits import (
     TorsionFamily,
     bianchi_feasible,
     classify_form,
-    d_parallel,
     first_family_form,
     invariant_poly_dims,
     make_torsion,
     second_family_form,
-    sigma,
     so3_family,
     w1w3_family,
 )

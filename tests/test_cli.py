@@ -3,9 +3,9 @@ import json
 import pytest
 
 from torsion6 import cli
-from torsion6.forms import format_form, parse_form
+from torsion6.forms import format_form, parse_form, sigma
 from torsion6.nil import StructureEquations, betti_vector
-from torsion6.orbits import classify_form, sigma
+from torsion6.orbits import classify_form
 
 
 def run(argv):

@@ -53,3 +53,31 @@ def test_cli_betti_child_does_not_import_sympy():
                 for line in out.stderr.splitlines() if "|" in line]
     assert "torsion6.nil" in imported
     assert not any(m == "sympy" or m.startswith("sympy.") for m in imported)
+
+
+def test_liegeom_does_not_reach_orbits():
+    # the package __init__ imports every layer, so the package is set up
+    # bare: what is loaded after the call is what liegeom itself needs
+    code = """
+import importlib.util, sys, types
+pkg = types.ModuleType("torsion6")
+pkg.__path__ = importlib.util.find_spec("torsion6").submodule_search_locations
+sys.modules["torsion6"] = pkg
+from torsion6.forms import Form
+from torsion6.liegeom import curvature_gap
+curvature_gap(Form(3, {(1, 2, 5): 1, (3, 4, 6): 2}))
+print(*sorted(m for m in sys.modules if m.startswith("torsion6.")))
+"""
+    assert _python("-c", code).stdout.split() == [
+        "torsion6.forms", "torsion6.liegeom", "torsion6.linalg", "torsion6.scalars"]
+
+
+def test_rational_square_root_does_not_import_sympy():
+    code = """
+import sys
+from torsion6.orbits import so3_pair_reduce
+print(repr(so3_pair_reduce([3, 4, 0], [0, 0, 0])))
+print("sympy" in sys.modules)
+"""
+    assert _python("-c", code).stdout.splitlines() == [
+        "(Fraction(5, 1), Fraction(0, 1), Fraction(0, 1))", "False"]

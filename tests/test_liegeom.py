@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from torsion6 import linalg
-from torsion6.forms import Form, endo_of_form, form_of_endo, inner, wedge
+from torsion6.forms import Form, endo_of_form, form_of_endo, inner, sigma, \
+    wedge
 from torsion6.liegeom import (
     CurvatureRecord,
     LieAlgebraData,
@@ -27,7 +28,7 @@ from torsion6.liegeom import (
     su2_algebra,
     zero_curvature,
 )
-from torsion6.orbits import second_family_form, sigma
+from torsion6.orbits import second_family_form
 from torsion6.unitary import isotropy_algebra, project_l3
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsion6.forms import Form, OMEGA, wedge
+from torsion6.forms import Form, OMEGA, sigma, wedge
 from torsion6.nil import (
     StructureEquations,
     betti_vector,
@@ -18,7 +18,6 @@ from torsion6.nil import (
     torsion_from_kaehler,
     verify_parallel,
 )
-from torsion6.orbits import sigma
 from torsion6.unitary import project_l3, torsion_type
 
 

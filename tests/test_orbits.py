@@ -9,10 +9,12 @@ from torsion6.forms import (
     Form,
     OMEGA,
     contract,
+    d_parallel,
     endo_act_on_form,
     endo_of_form,
     monomials,
     norm_sq,
+    sigma,
     sort_indices,
     wedge,
 )
@@ -22,13 +24,11 @@ from torsion6.orbits import (
     bianchi_feasible,
     classify_form,
     codiff_gap,
-    d_parallel,
     first_family_form,
     gamma_family,
     lie_group_criterion,
     make_torsion,
     second_family_form,
-    sigma,
     so3_family,
     so3_pair_reduce,
     invariant_poly_dims,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsion6 import linalg
 from torsion6.forms import (
@@ -11,14 +12,19 @@ from torsion6.forms import (
     SkewEndo,
     endo_act_on_form,
     endo_of_form,
+    inner,
     monomials,
     norm_sq,
     parse_form,
     wedge,
 )
+from torsion6.orbits import classify_form
 from torsion6.unitary import (
     M2_BASIS,
+    OMEGA_H,
+    OMEGA_V,
     delta_class,
+    f_complex,
     i1,
     i2,
     i3,
@@ -133,6 +139,40 @@ def test_projectors_resolve_identity():
         assert inner(comp.t12, comp.t6) == 0
 
 
+def twisted_omega(u, v):
+    """q1 O1 + q2 O2 + q3 Omega_H + Omega_V as su2_twist builds it, for the
+    rational unit vector q with stereographic coordinates (u, v)."""
+    n = u * u + v * v + 1
+    o1 = M2_BASIS[1]
+    return (2 * u / n * o1 + 2 * v / n * f_complex(o1)
+            + (u * u + v * v - 1) / n * OMEGA_H + OMEGA_V)
+
+
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@settings(deadline=None, max_examples=40)
+@given(st.dictionaries(st.sampled_from(monomials(3)), _coeffs), _coeffs, _coeffs)
+def test_project_l3_parts_are_tau_eigenforms(twisted, coeffs, u, v):
+    omega = twisted_omega(u, v) if twisted else OMEGA
+    t = Form(3, coeffs)
+    comp = project_l3(t, omega)
+    assert comp.t2 + comp.t12 + comp.t6 == t
+    assert inner(comp.t2, comp.t12) == 0
+    assert inner(comp.t2, comp.t6) == 0
+    assert inner(comp.t12, comp.t6) == 0
+
+    def tau2(w):
+        return tau(tau(w, omega), omega)
+
+    assert tau2(comp.t2) == -9 * comp.t2
+    assert tau2(comp.t12) == -comp.t12
+    assert tau2(comp.t6) == comp.t6
+    x = Form(1, {(i,): c for i, c in enumerate(comp.x, start=1)})
+    assert wedge(omega, x) == comp.t6
+
+
 def test_tau_equivariance():
     rng = random.Random(9)
     basis = u3_basis()
@@ -235,6 +275,27 @@ def test_identify_algebra_examples():
     assert identify_algebra([]).tag == "trivial"
     with pytest.raises(ValueError):
         identify_algebra([endo_of_form(e(1, 3)), endo_of_form(e(1, 2))])
+
+
+def test_float_isotropy_basis_with_large_entries():
+    # a rotated case IV form whose float isotropy basis has entries near
+    # 7.7e3: the bracket of its two commuting elements is roundoff of
+    # about 2e-9, above the absolute zero-test tolerance
+    coeffs = {
+        (1, 2, 3): 78.83128348045204, (1, 2, 4): 117.69631612734894,
+        (1, 2, 5): -107.58053431703857, (1, 2, 6): 35.06721850041997,
+        (1, 3, 4): -17.44078452641683, (1, 3, 5): 5.3394592339944085,
+        (1, 3, 6): -5.346704090485581, (1, 4, 5): -9.863872112731867,
+        (1, 4, 6): -5.426397511888482, (1, 5, 6): 1.4441413939071261,
+        (2, 3, 4): -14.154034631588072, (2, 3, 5): 14.15282715550621,
+        (2, 3, 6): -2.2241709427900727, (2, 4, 5): 12.990027688672964,
+        (2, 4, 6): -1.0577490477112397, (2, 5, 6): -7.580534841930551,
+        (3, 4, 5): -46.74577622968041, (3, 4, 6): 19.87777312863511,
+        (3, 5, 6): 41.14354001337075, (4, 5, 6): 45.312954924040746,
+    }
+    rep = classify_form(Form(3, coeffs), 1e-9)
+    assert (rep.strict_type, rep.iso_label, rep.iso_dim, rep.case) == \
+        ("W3+W4", "t2", 2, "IV")
 
 
 def test_identify_u2_labels():
