@@ -1,7 +1,8 @@
 """Pointwise linear algebra for almost hermitian geometry in dimension six.
 
-The spinor functions (numpy) and the `catalog` module (sympy) are served on
-first use, so that importing the package loads neither library.
+The spinor functions (numpy) and the `catalog` module are served on first
+use, so that importing the package loads neither numpy nor sympy.  Sympy
+loads only for the exact square root of a rational that is not a square.
 """
 
 import importlib

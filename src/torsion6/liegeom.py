@@ -7,6 +7,7 @@ of a Lie algebra from a torsion/curvature pair.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -28,6 +29,10 @@ from .forms import (
 from .scalars import DEFAULT_TOL, is_zero, to_float
 
 MON2 = monomials(2)
+
+
+def _basis_vec(n, i):
+    return [Fraction(1 if k == i else 0) for k in range(n)]
 
 
 class LieAlgebraData:
@@ -74,16 +79,12 @@ class LieAlgebraData:
             yield j - 1, i - 1, k - 1, -v
 
     def bracket(self, x, y):
+        xs = {i: v for i, v in enumerate(x) if not is_zero(v)}
+        ys = {j: v for j, v in enumerate(y) if not is_zero(v)}
         out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if is_zero(x[i]):
-                continue
-            for j in range(self.dim):
-                if is_zero(y[j]):
-                    continue
-                b = self.bracket_basis(i + 1, j + 1)
-                for k in range(self.dim):
-                    out[k] = out[k] + x[i] * y[j] * b[k]
+        for i, j, k, v in self.entries():
+            if i in xs and j in ys:
+                out[k] = out[k] + xs[i] * ys[j] * v
         return out
 
     def to_text(self):
@@ -265,6 +266,14 @@ class ReductiveModel:
     def _m_part(self, vec):
         return [vec[i - 1] for i in self.m_idx]
 
+    def ad_m(self, x):
+        """Matrix of ad(x) restricted to m in the adapted frame: column b
+        is the m-part of [x, e_b]."""
+        n = self.algebra.dim
+        cols = [self._m_part(self.algebra.bracket(x, _basis_vec(n, idx - 1)))
+                for idx in self.m_idx]
+        return linalg.transpose(cols)
+
     def bracket_m(self, a, b):
         """Bracket of the a-th and b-th frame vectors (1-based in m)."""
         return self.algebra.bracket_basis(self.m_idx[a - 1], self.m_idx[b - 1])
@@ -299,14 +308,8 @@ def canonical_data(model: ReductiveModel):
         # keep only the h-component
         for idx in model.m_idx:
             hpart[idx - 1] = Fraction(0)
-        cols = []
-        for b in range(DIM):
-            ej = [Fraction(1 if k - 1 == model.m_idx[b] - 1 else 0)
-                  for k in range(1, model.algebra.dim + 1)]
-            out = model.algebra.bracket(hpart, ej)
-            cols.append(model._m_part(out))
         # R(ei,ej) Z = -[h, Z]; matrix columns are images of the frame
-        rmat = [[-cols[b][aa] for b in range(DIM)] for aa in range(DIM)]
+        rmat = [[-v for v in row] for row in model.ad_m(hpart)]
         endos[(i, j)] = SkewEndo(rmat)
         for b, (k, l) in enumerate(MON2):
             # R(i,j,k,l) = g(R(ei,ej) ek, el)
@@ -332,62 +335,34 @@ def _span_endos(endos):
     return out
 
 
-# --- left-invariant connections on a 6-dimensional Lie algebra ---
+# --- left-invariant connections in an orthonormal frame ---
 
-def levi_civita(L: LieAlgebraData, g=None):
+def levi_civita(L: LieAlgebraData):
     """Connection coefficients gamma[i][j] = components of the covariant
-    derivative of the j-th frame field in the i-th direction (Koszul):
-    gamma[i][j] = g^-1 1/2 (B[i,j,.] - B[j,.,i] + B[.,i,j]) with the lowered
-    structure constants B[i,j,k] = g([e_i, e_j], e_k)."""
+    derivative of the j-th frame field in the i-th direction, for the metric
+    that makes the frame orthonormal (Koszul):
+    gamma[i][j][k] = 1/2 (c[i,j,k] - c[j,k,i] + c[k,i,j])."""
     n = L.dim
-    if g is None:
-        g = linalg.identity(n)
-    ginv = _inverse(g)
-    g_rows = [[(k, x) for k, x in enumerate(row) if not is_zero(x)]
-              for row in g]
-    low = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, a, v in L.entries():
-        row = low[i][j]
-        for k, x in g_rows[a]:
-            row[k] = row[k] + v * x
-    half = Fraction(1, 2)
-    return [[linalg.mat_vec(ginv, [half * (low[i][j][k] - low[j][k][i]
-                                           + low[k][i][j])
-                                   for k in range(n)])
-             for j in range(n)] for i in range(n)]
+    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in L.entries():
+        half = v / 2
+        gamma[i][j][k] = gamma[i][j][k] + half
+        gamma[k][i][j] = gamma[k][i][j] - half
+        gamma[j][k][i] = gamma[j][k][i] + half
+    return gamma
 
 
-def _basis_vec(n, i):
-    return [Fraction(1 if k == i else 0) for k in range(n)]
-
-
-def _inverse(g):
-    n = len(g)
-    aug = [list(row) + _basis_vec(n, i) for i, row in enumerate(g)]
-    red, pivots = linalg.rref(aug)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise ValueError("metric is degenerate")
-    return [row[n:] for row in red]
-
-
-def characteristic_connection(L: LieAlgebraData, t: Form, g=None):
-    """Levi-Civita plus half the torsion, nabla^c = nabla^g + 1/2 T."""
+def characteristic_connection(L: LieAlgebraData, t: Form):
+    """Levi-Civita plus half the torsion, nabla^c = nabla^g + 1/2 T, in an
+    orthonormal frame."""
     if t.degree != 3:
         raise ValueError("torsion must be a 3-form")
-    n = L.dim
-    if g is None:
-        g = linalg.identity(n)
-    ginv = _inverse(g)
-    gamma = levi_civita(L, g)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            corr = [Fraction(0)] * n
-            for k in range(n):
-                v = evaluate(t, i + 1, j + 1, k + 1)
-                corr[k] = Fraction(1, 2) * v
-            corr = linalg.mat_vec(ginv, corr)
-            out[i][j] = [gamma[i][j][k] + corr[k] for k in range(n)]
+    out = levi_civita(L)
+    for idx, v in t.coeffs.items():
+        half = v / 2
+        for perm in itertools.permutations(idx):
+            i, j, k = (m - 1 for m in perm)
+            out[i][j][k] = out[i][j][k] + sort_indices(perm)[1] * half
     return out
 
 
@@ -416,18 +391,12 @@ def connection_torsion(L: LieAlgebraData, conn) -> Form:
     return Form(3, coeffs)
 
 
-def is_metric(L, conn, g=None):
+def is_metric(L, conn):
+    """Whether the connection preserves the metric of the orthonormal frame:
+    every nabla_X is skew."""
     n = L.dim
-    if g is None:
-        g = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = sum(conn[i][j][a] * g[a][k] for a in range(n)) \
-                    + sum(conn[i][k][a] * g[a][j] for a in range(n))
-                if not is_zero(v):
-                    return False
-    return True
+    return all(is_zero(conn[i][j][k] + conn[i][k][j])
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 def connection_curvature(L: LieAlgebraData, conn) -> CurvatureRecord:
@@ -470,29 +439,20 @@ def connection_curvature(L: LieAlgebraData, conn) -> CurvatureRecord:
     return CurvatureRecord(mat, _span_endos(endos))
 
 
-def ricci(rec: CurvatureRecord, g=None):
-    """Ric(X,Y) = sum_i R(e_i, X, Y, e_i), traced with the metric."""
-    ginv = linalg.identity(DIM) if g is None else _inverse(g)
-    out = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for x in range(1, DIM + 1):
-        for y in range(1, DIM + 1):
-            s = Fraction(0)
-            for i in range(1, DIM + 1):
-                for j in range(1, DIM + 1):
-                    if not is_zero(ginv[i - 1][j - 1]):
-                        s = s + ginv[i - 1][j - 1] * rec.value(i, x, y, j)
-            out[x - 1][y - 1] = s
-    return out
+def ricci(rec: CurvatureRecord):
+    """Ric(X,Y) = sum_i R(e_i, X, Y, e_i) over the orthonormal frame."""
+    return [[sum((rec.value(i, x, y, i) for i in range(1, DIM + 1)),
+                 Fraction(0))
+             for y in range(1, DIM + 1)] for x in range(1, DIM + 1)]
 
 
-def is_einstein(ric, g=None):
-    """Whether Ric = c g; returns (bool, c or None)."""
-    if g is None:
-        g = linalg.identity(DIM)
-    c = sum(ric[i][i] for i in range(DIM)) / sum(g[i][i] for i in range(DIM))
+def is_einstein(ric):
+    """Whether Ric = c g for the orthonormal metric g; returns (bool, c or
+    None)."""
+    c = sum(ric[i][i] for i in range(DIM)) / DIM
     for i in range(DIM):
         for j in range(DIM):
-            if not is_zero(ric[i][j] - c * g[i][j]):
+            if not is_zero(ric[i][j] - (c if i == j else 0)):
                 return False, None
     return True, c
 

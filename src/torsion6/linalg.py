@@ -14,21 +14,6 @@ from fractions import Fraction
 from .scalars import is_exact, is_zero, to_float
 
 
-def zeros(n, m):
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n):
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = Fraction(1)
-    return mat
-
-
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), start=0) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

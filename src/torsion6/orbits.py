@@ -31,6 +31,7 @@ from .scalars import DEFAULT_TOL, is_exact, is_zero, sym_sqrt, to_float
 from .unitary import (
     L2_MINUS_BASIS,
     M2_BASIS,
+    TORUS_WEIGHTS,
     i1,
     i2,
     i3,
@@ -101,6 +102,9 @@ class TorsionFamily:
             elif c == "III":
                 if not (_pos(a1) and branch_34 and is_zero(a5)):
                     return "needs a1 > 0, a5 = 0 and (a3 > 0, or a3 = 0 < a4)"
+                # on this circle the orbit is the larger one of case XI
+                if is_zero(a1 * a1 - a3 * a3 - a4 * a4):
+                    return "needs a1^2 != a3^2 + a4^2"
             elif c == "IV":
                 if not (is_zero(a1) and branch_34 and _pos(a5)):
                     return "needs a1 = 0, a5 > 0 and (a3 > 0, or a3 = 0 < a4)"
@@ -258,17 +262,6 @@ def so3_family(a1, a2, a3) -> Form:
 
 
 # --- invariant polynomial dimensions ---
-
-# Torus weights of the complexified 14-dimensional sum of the two
-# divergence-free torsion components.  phi_k = e(2k-1) - i e(2k) and its
-# conjugate phi_-k have weights e_k and -e_k; phi_{+-1} ^ phi_{+-2} ^ phi_{+-3}
-# gives the eight weights (+-1, +-1, +-1), and the six differences
-# phi_j ^ phi_-j ^ phi_{+-k} - phi_l ^ phi_-l ^ phi_{+-k}, {j, l, k} = {1, 2, 3},
-# orthogonal to Omega ^ X, give +-e_k.
-TORUS_WEIGHTS = tuple(
-    [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    + [tuple(s if i == k else 0 for i in range(3)) for k in range(3) for s in (1, -1)])
-
 
 def invariant_poly_dims(max_deg: int):
     """Dimensions of U(3)-invariant homogeneous polynomials on the

@@ -108,7 +108,9 @@ def simplify(x):
 def sym_sqrt(x):
     """Exact square root where possible, float square root for floats.
 
-    The root of a rational square is a Fraction, found without sympy."""
+    The root of a rational square is a Fraction, found without sympy; the
+    root of any other rational is the only place where the exact paths
+    load sympy."""
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         if x >= 0:
@@ -117,7 +119,8 @@ def sym_sqrt(x):
                 return Fraction(p, q)
         import sympy
 
-        return simplify(sympy.sqrt(sympy.Rational(Fraction(x))))
+        # sympy keeps the root of a rational in its canonical form already
+        return sympy.sqrt(sympy.Rational(x.numerator, x.denominator))
     sympy = _sympy_of(x)
     if sympy is not None:
         return simplify(sympy.sqrt(x))

@@ -234,38 +234,32 @@ def torus_generator(k1, k2, k3) -> SkewEndo:
                                  (5, 6): Fraction(k3)}))
 
 
-def _action_matrix_on_l3(a: SkewEndo):
-    basis = monomials(3)
-    cols = [endo_act_on_form(a, Form.monomial(idx)).vector() for idx in basis]
-    return linalg.transpose(cols)
-
-
-@functools.cache
-def _projector_matrices():
-    basis = monomials(3)
-    mats = {"t2": [], "t12": [], "t6": []}
-    for idx in basis:
-        comp = project_l3(Form.monomial(idx))
-        mats["t2"].append(comp.t2.vector())
-        mats["t12"].append(comp.t12.vector())
-        mats["t6"].append(comp.t6.vector())
-    return {k: linalg.transpose(v) for k, v in mats.items()}
+# Torus weights of the complexified 14-dimensional sum of the two
+# divergence-free torsion components.  phi_k = e(2k-1) - i e(2k) and its
+# conjugate phi_-k have weights e_k and -e_k; phi_{+-1} ^ phi_{+-2} ^ phi_{+-3}
+# gives the eight weights (+-1, +-1, +-1), and the six differences
+# phi_j ^ phi_-j ^ phi_{+-k} - phi_l ^ phi_-l ^ phi_{+-k}, {j, l, k} = {1, 2, 3},
+# orthogonal to Omega ^ X, give +-e_k.  Lambda^3_2 = Re, Im of
+# phi_1 ^ phi_2 ^ phi_3 carries +-(1, 1, 1), Lambda^3_12 the other twelve,
+# and Lambda^3_6 = Omega ^ R^6 the six +-e_k again.
+TORUS_WEIGHTS = tuple(
+    [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    + [tuple(s if i == k else 0 for i in range(3)) for k in range(3) for s in (1, -1)])
+_L3_2_WEIGHTS = ((1, 1, 1), (-1, -1, -1))
 
 
 def torus_fixed_dims(k1: int, k2: int, k3: int) -> tuple[int, int, int]:
-    """Dimensions of the torus-fixed subspaces of the three 3-form modules."""
+    """Dimensions of the torus-fixed subspaces of the three 3-form modules:
+    the number of torus weights w of each module with w . k = 0."""
     if (k1, k2, k3) == (0, 0, 0):
         raise ValueError("the zero tuple does not define a torus")
-    act = _action_matrix_on_l3(torus_generator(k1, k2, k3))
-    projs = _projector_matrices()
-    n = len(act)
-    ident = linalg.identity(n)
-    dims = []
-    for key in ("t2", "t12", "t6"):
-        p = projs[key]
-        complement = [[ident[i][j] - p[i][j] for j in range(n)] for i in range(n)]
-        dims.append(len(linalg.intersect_kernels([act, complement])))
-    return tuple(dims)
+
+    def fixed(weights):
+        return sum(1 for w in weights if w[0] * k1 + w[1] * k2 + w[2] * k3 == 0)
+
+    return (fixed(_L3_2_WEIGHTS),
+            fixed(w for w in TORUS_WEIGHTS if w not in _L3_2_WEIGHTS),
+            fixed(TORUS_WEIGHTS[8:]))
 
 
 def canonical_torus_tuple(k1: int, k2: int, k3: int) -> tuple[int, int, int]:

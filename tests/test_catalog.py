@@ -40,9 +40,15 @@ def test_non_numeric_parameter_is_named():
 # --- product of two 3-spheres, torus holonomy -------------------------------
 
 def test_algebra_from_frame_rejects_bracket_outside_span():
-    e1, e2 = sp.Matrix([1, 0, 0]), sp.Matrix([0, 1, 0])
-    with pytest.raises(ValueError):
-        catalog._algebra_from_frame([e1, e2], lambda x, y: x.cross(y))
+    e1, e2, e3 = ([F(int(i == k)) for i in range(3)] for k in range(3))
+    with pytest.raises(ValueError, match="span"):
+        catalog._algebra_from_frame([e1, e2], catalog._cross, [F(1)] * 2)
+    with pytest.raises(ValueError, match="dependent"):
+        catalog._algebra_from_frame([e1, e2, [F(1), F(1), F(0)]],
+                                    catalog._cross, [F(1)] * 3)
+    su2 = catalog._algebra_from_frame([e1, e2, e3], catalog._cross,
+                                      [F(4), F(4), F(1)])
+    assert su2.c == {(1, 2, 3): F(4), (1, 3, 2): F(-1), (2, 3, 1): F(1)}
 
 
 def test_parameter_keys_checked_against_schema():
@@ -106,7 +112,7 @@ def test_t2bundle_second_point():
                                         (F(4, 9), F(-5, 2), F(4, 3))],
                          ids=["5/9,-6,5/3", "4/9,-5/2,4/3"])
 def test_t2bundle_structure_constants_stay_rational(a3, a4, a5):
-    # the parameters enter sympy as Rationals: [e1, e2] has e7-component
+    # the frame is solved over Fractions: [e1, e2] has e7-component
     # -lambda, not a numerically guessed closed form, and the model passes
     # its curvature check and the Nomizu round trip
     rep = catalog.build("s3xs3-t2bundle", a3=a3, a4=a4, a5=a5)

@@ -16,7 +16,8 @@ from torsion6.clifford import (
     torsion_spinor_spectrum,
 )
 from torsion6.forms import Form, OMEGA, endo_of_form, monomials
-from torsion6.orbits import TorsionFamily, lie_group_criterion, make_torsion
+from torsion6.orbits import TorsionFamily, first_family_form, \
+    lie_group_criterion, make_torsion
 from torsion6.unitary import isotropy_algebra, u3_basis
 
 
@@ -66,32 +67,38 @@ def test_is_scalar_square():
 
 
 def sample_cases(rng, n):
+    """Torsion forms of random singular-orbit cases.  The III draws at
+    a4 = 0 lie on the circle a1^2 = a3^2 + a4^2, which TorsionFamily
+    rejects as case III; those forms are built directly."""
     out = []
     while len(out) < n:
         case = rng.choice(("I", "II", "III", "V", "VII", "IX", "X"))
         a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         b = Fraction(rng.randint(-3, 3))
         if case == "I":
-            out.append(TorsionFamily("I", a5=a))
+            f = TorsionFamily("I", a5=a)
         elif case == "II":
-            out.append(TorsionFamily("II", a1=a))
+            f = TorsionFamily("II", a1=a)
+        elif case == "III" and b == 0:
+            out.append(first_family_form(a, a, 0, 0))
+            continue
         elif case == "III":
-            out.append(TorsionFamily("III", a1=a, a3=a, a4=b))
+            f = TorsionFamily("III", a1=a, a3=a, a4=b)
         elif case == "V":
-            out.append(TorsionFamily("V", a1=a, a5=a))
+            f = TorsionFamily("V", a1=a, a5=a)
         elif case == "VII":
-            out.append(TorsionFamily("VII", a1=a))
+            f = TorsionFamily("VII", a1=a)
         elif case == "IX":
-            out.append(TorsionFamily("IX", b1=a))
+            f = TorsionFamily("IX", b1=a)
         else:
-            out.append(TorsionFamily("X", b1=2 * a, b2=a))
+            f = TorsionFamily("X", b1=2 * a, b2=a)
+        out.append(make_torsion(f))
     return out
 
 
 def test_scalar_square_matches_lie_criterion():
     rng = random.Random(22)
-    for f in sample_cases(rng, 100):
-        t = make_torsion(f)
+    for t in sample_cases(rng, 100):
         scalar, _ = is_scalar_square(t)
         _, holds = lie_group_criterion(t)
         assert scalar == holds
@@ -173,8 +180,7 @@ def test_spectrum_case_ix_full_spinor_space():
 
 def test_spectrum_symmetry():
     rng = random.Random(25)
-    for f in sample_cases(rng, 10):
-        t = make_torsion(f)
+    for t in sample_cases(rng, 10):
         spec = torsion_spinor_spectrum(t, [])
         nonzero = [v for v in spec if abs(v) > 1e-7]
         assert sorted(np.round(nonzero, 7)) == sorted(np.round([-v for v in nonzero], 7))

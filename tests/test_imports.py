@@ -45,14 +45,50 @@ print(torsion6.catalog.build("s3xt3-t2", s=1)["mismatches"])
     assert _python("-c", code).stdout.split() == ["[]"]
 
 
+def _cli_imports(*args):
+    """Output of a CLI child and the modules it imported."""
+    out = _python("-X", "importtime", "-m", "torsion6.cli", *args)
+    return out.stdout, [line.rsplit("|", 1)[-1].strip()
+                        for line in out.stderr.splitlines() if "|" in line]
+
+
+def _no_sympy(modules):
+    return not any(m == "sympy" or m.startswith("sympy.") for m in modules)
+
+
 def test_cli_betti_child_does_not_import_sympy():
-    out = _python("-X", "importtime", "-m", "torsion6.cli", "betti",
-                  "--shorthand=(0,0,0,0,12,13)", "--json")
-    assert '"betti"' in out.stdout
-    imported = [line.rsplit("|", 1)[-1].strip()
-                for line in out.stderr.splitlines() if "|" in line]
+    stdout, imported = _cli_imports("betti", "--shorthand=(0,0,0,0,12,13)",
+                                    "--json")
+    assert '"betti"' in stdout
     assert "torsion6.nil" in imported
-    assert not any(m == "sympy" or m.startswith("sympy.") for m in imported)
+    assert _no_sympy(imported)
+
+
+def test_cli_tables_and_rational_example_children_do_not_import_sympy():
+    # both build catalog entries (table 5 the nil ones); the package loads
+    # catalog through importlib, which -X importtime does not list
+    stdout, imported = _cli_imports("tables", "--all", "--json")
+    assert '"diffs": []' in stdout and '"family": "iii"' in stdout
+    assert _no_sympy(imported)
+    stdout, imported = _cli_imports("example", "nil-iii", "--set", "a3=1",
+                                    "--set", "a4=2", "--set", "a5=1", "--json")
+    assert '"mismatches": []' in stdout
+    assert _no_sympy(imported)
+
+
+def test_rational_catalog_builds_do_not_import_sympy():
+    code = """
+import sys
+from torsion6 import catalog
+for name, params in (("e3-so3", {}), ("n6-so3", {}), ("s5xs1", {}),
+                     ("s3xt3-t2", {"s": 2}),
+                     ("nil-iii", {"a3": 1, "a4": 2, "a5": 1}),
+                     ("s3xs3-t2", {"s": 3, "t": 4}), ("sl2c-so3", {"p": 2}),
+                     ("s3xs3-t2bundle", {"a3": 1, "a4": -2, "a5": 3})):
+    assert catalog.build(name, **params)["mismatches"] == [], name
+print("sympy" in sys.modules)
+"""
+    assert _python("-c", code).stdout.split() == ["False"]
 
 
 def test_liegeom_does_not_reach_orbits():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from torsion6.unitary import (
     theta,
     torsion_type,
     torus_fixed_dims,
+    torus_generator,
     u2_split,
     u3_basis,
 )
@@ -88,7 +90,6 @@ def tau_squared_matrix():
 def test_tau_square_spectrum():
     m = tau_squared_matrix()
     n = len(m)
-    ident = linalg.identity(n)
 
     def shifted(lam):
         return [[m[i][j] + (lam if i == j else 0) for j in range(n)]
@@ -237,6 +238,31 @@ def test_torus_fixed_dims_table():
     assert torus_fixed_dims(3, 2, 2) == (0, 0, 0)
     with pytest.raises(ValueError):
         torus_fixed_dims(0, 0, 0)
+
+
+def test_torus_fixed_dims_match_matrix_kernels():
+    # oracle: for each module, a basis B from the projections of the
+    # monomials, and the kernel of k1 A1 + k2 A2 + k3 A3 on B, where A_i is
+    # the action of the i-th circle generator on 3-forms
+    tuples = [k for k in itertools.product(range(-3, 4), repeat=3)
+              if k != (0, 0, 0)]
+    assert len(tuples) == 342
+    gens = [torus_generator(*(1 if i == j else 0 for j in range(3)))
+            for i in range(3)]
+    images = []
+    for part in ("t2", "t12", "t6"):
+        red, pivots = linalg.rref(
+            [getattr(project_l3(Form.monomial(idx)), part).vector()
+             for idx in monomials(3)])
+        images.append([[endo_act_on_form(a, Form.from_vector(3, row)).vector()
+                        for a in gens] for row in red[:len(pivots)]])
+    for k in tuples:
+        dims = tuple(
+            len(imgs) - linalg.rank([[sum(c * x for c, x in zip(k, xs))
+                                      for xs in zip(*per_gen)]
+                                     for per_gen in imgs])
+            for imgs in images)
+        assert torus_fixed_dims(*k) == dims, k
 
 
 def test_delta_class():
