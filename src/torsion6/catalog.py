@@ -211,8 +211,6 @@ def build_s3xs3_t2(s, t):
                            (3, 4, 6): t, (3, 6, 4): -t, (4, 6, 3): t})
     model = ReductiveModel(L, [], [1, 2, 3, 4, 5, 6])
     half = (s * s + t * t) / 2
-    root = sym_sqrt(s * s + t * t)
-    alphas = ((s * s - t * t) / (2 * root), -s * t / root, root / 2)
     expected = {
         "torsion": -s * Form.monomial((1, 2, 5)) - t * Form.monomial((3, 4, 6)),
         "norms_sq": (0, half, half),
@@ -220,8 +218,7 @@ def build_s3xs3_t2(s, t):
         "einstein": (s == t, s * s / 2 if s == t else None),
         "naturally_reductive": True,
     }
-    return _reductive_report("s3xs3-t2", {"s": s, "t": t}, model, expected,
-                             {"alphas": alphas})
+    return _reductive_report("s3xs3-t2", {"s": s, "t": t}, model, expected)
 
 
 def build_s3xt3_t2(s):
@@ -234,9 +231,17 @@ def build_s3xt3_t2(s):
         "curvature": zero_curvature(),
         "naturally_reductive": True,
     }
-    # alpha3 = alpha5 = s/2, alpha4 = 0 in the torus normal form
-    return _reductive_report("s3xt3-t2", {"s": s}, model, expected,
-                             {"alphas": (s / 2, F(0), s / 2)})
+    return _reductive_report("s3xt3-t2", {"s": s}, model, expected)
+
+
+def torus_alphas(s, t=0):
+    """The torus normal-form parameters (alpha3, alpha4, alpha5) of the
+    s3xs3-t2 model with scales s, t, and of s3xt3-t2 at t = 0.  They are
+    not part of the builds: their root sqrt(s^2 + t^2) is irrational for
+    most scales, and a build needs no root."""
+    s, t = rat(s), rat(t)
+    root = sym_sqrt(s * s + t * t)
+    return ((s * s - t * t) / (2 * root), -s * t / root, root / 2)
 
 
 def build_s3xs3_t2bundle(a3, a4, a5):

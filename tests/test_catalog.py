@@ -72,7 +72,7 @@ def test_s3xs3_t2_unequal_scales():
     rep = catalog.build("s3xs3-t2", s=2, t=1)
     assert rep["mismatches"] == []
     assert rep["einstein"][0] is False
-    a3, a4, a5 = rep["alphas"]
+    a3, a4, a5 = catalog.torus_alphas(2, 1)
     # the normal-form parameters reproduce the component norms
     assert is_zero(simplify(2 * (a3 ** 2 + a4 ** 2) - rep["norms_sq"][1]))
     assert is_zero(simplify(2 * a5 ** 2 - rep["norms_sq"][2]))
@@ -81,7 +81,7 @@ def test_s3xs3_t2_unequal_scales():
 def test_s3xt3_t2():
     rep = catalog.build("s3xt3-t2", s=2)
     assert rep["mismatches"] == []
-    a3, a4, a5 = rep["alphas"]
+    a3, a4, a5 = catalog.torus_alphas(2)
     assert a4 == 0 and a3 == a5
 
 

@@ -70,10 +70,12 @@ def test_cli_tables_and_rational_example_children_do_not_import_sympy():
     stdout, imported = _cli_imports("tables", "--all", "--json")
     assert '"diffs": []' in stdout and '"family": "iii"' in stdout
     assert _no_sympy(imported)
-    stdout, imported = _cli_imports("example", "nil-iii", "--set", "a3=1",
-                                    "--set", "a4=2", "--set", "a5=1", "--json")
-    assert '"mismatches": []' in stdout
-    assert _no_sympy(imported)
+    for example in (["nil-iii", "--set", "a3=1", "--set", "a4=2",
+                     "--set", "a5=1"],
+                    ["s3xs3-t2", "--set", "s=2", "--set", "t=3"]):
+        stdout, imported = _cli_imports("example", *example, "--json")
+        assert '"mismatches": []' in stdout
+        assert _no_sympy(imported)
 
 
 def test_rational_catalog_builds_do_not_import_sympy():
@@ -83,7 +85,8 @@ from torsion6 import catalog
 for name, params in (("e3-so3", {}), ("n6-so3", {}), ("s5xs1", {}),
                      ("s3xt3-t2", {"s": 2}),
                      ("nil-iii", {"a3": 1, "a4": 2, "a5": 1}),
-                     ("s3xs3-t2", {"s": 3, "t": 4}), ("sl2c-so3", {"p": 2}),
+                     ("s3xs3-t2", {"s": 3, "t": 4}),
+                     ("s3xs3-t2", {"s": 2, "t": 3}), ("sl2c-so3", {"p": 2}),
                      ("s3xs3-t2bundle", {"a3": 1, "a4": -2, "a5": 3})):
     assert catalog.build(name, **params)["mismatches"] == [], name
 print("sympy" in sys.modules)
